@@ -77,12 +77,12 @@ type agg = {
 }
 
 (* The same exact (un-aggregated) pipeline rerun on a domain pool:
-   exploration, CSR assembly and a Jacobi solve all parallelise, so the
-   block measures the end-to-end multicore story.  The solve method is
-   pinned to Jacobi on both sides of the comparison — Gauss-Seidel (the
-   auto choice) stays sequential by design — so [par_speedup] is a
+   exploration and power sweeps are the two pooled stages, so the block
+   measures the end-to-end multicore story.  The solve method is pinned
+   to Power on both sides of the comparison — Gauss-Seidel (the auto
+   choice) stays sequential by design — so [par_speedup] is a
    like-for-like jobs=N versus jobs=1 ratio and [par_divergence] only
-   sees the reassociated final normalisation. *)
+   sees the reassociated normalisation. *)
 type par = {
   par_jobs : int;
   par_build_s : float;
@@ -172,13 +172,13 @@ let pepa_row n =
   let par =
     if Pepa.Statespace.n_states space < par_skip_threshold then None
     else begin
-      (* Sequential Jacobi yardstick first, then drop the sequential
+      (* Sequential power yardstick first, then drop the sequential
          pipeline's cached CSR matrices: the parallel rerun's generator
          (and its transpose) never coexists with them, which is what
          the 16-replica memory gate measures. *)
-      let pi_j1, j1_solve_s =
-        time ~attrs "bench.pepa.solve_jacobi_seq" (fun _ ->
-            Markov.Steady.solve ~method_:Markov.Steady.Jacobi ~options:solve_options chain)
+      let pi_seq_power, seq_power_solve_s =
+        time ~attrs "bench.pepa.solve_power_seq" (fun _ ->
+            Markov.Steady.solve ~method_:Markov.Steady.Power ~options:solve_options chain)
       in
       Pepa.Statespace.release_derived space;
       Pepa.Statespace.release_derived space_a;
@@ -189,21 +189,21 @@ let pepa_row n =
       let chain_p, par_assemble_s =
         time ~attrs "bench.pepa.assemble_par" (fun _ ->
             let chain = Pepa.Statespace.ctmc space_p in
-            ignore (Markov.Ctmc.generator_transposed ~jobs:par_jobs chain);
+            ignore (Markov.Ctmc.generator_transposed chain);
             chain)
       in
       let (pi_p, stats_p), par_solve_s =
         time ~attrs "bench.pepa.solve_par" (fun _ ->
-            Markov.Steady.solve_stats ~method_:Markov.Steady.Jacobi ~options:solve_options
+            Markov.Steady.solve_stats ~method_:Markov.Steady.Power ~options:solve_options
               ~jobs:par_jobs chain_p)
       in
       let par_states_match =
         Pepa.Statespace.n_states space_p = Pepa.Statespace.n_states space
         && Pepa.Statespace.n_transitions space_p = Pepa.Statespace.n_transitions space
       in
-      let par_divergence = steady_divergence pi_j1 pi_p in
+      let par_divergence = steady_divergence pi_seq_power pi_p in
       record_par ~states_match:par_states_match ~divergence:par_divergence;
-      let par_seq_total_s = build_s +. assemble_s +. j1_solve_s in
+      let par_seq_total_s = build_s +. assemble_s +. seq_power_solve_s in
       let par_total = par_build_s +. par_assemble_s +. par_solve_s in
       let par_speedup = if par_total > 0.0 then par_seq_total_s /. par_total else 0.0 in
       if n = 16 then par_speedup_at_16 := Some par_speedup;
@@ -291,9 +291,9 @@ let net_row k =
     else begin
       (* Same scoping as the PEPA rows: yardstick first, sequential CSR
          matrices dropped before the parallel rerun. *)
-      let pi_j1, j1_solve_s =
-        time ~attrs "bench.net.solve_jacobi_seq" (fun _ ->
-            Markov.Steady.solve ~method_:Markov.Steady.Jacobi ~options:solve_options chain)
+      let pi_seq_power, seq_power_solve_s =
+        time ~attrs "bench.net.solve_power_seq" (fun _ ->
+            Markov.Steady.solve ~method_:Markov.Steady.Power ~options:solve_options chain)
       in
       Pepanet.Net_statespace.release_derived space;
       Pepanet.Net_statespace.release_derived space_a;
@@ -304,12 +304,12 @@ let net_row k =
       let chain_p, par_assemble_s =
         time ~attrs "bench.net.assemble_par" (fun _ ->
             let chain = Pepanet.Net_statespace.ctmc space_p in
-            ignore (Markov.Ctmc.generator_transposed ~jobs:par_jobs chain);
+            ignore (Markov.Ctmc.generator_transposed chain);
             chain)
       in
       let (pi_p, stats_p), par_solve_s =
         time ~attrs "bench.net.solve_par" (fun _ ->
-            Markov.Steady.solve_stats ~method_:Markov.Steady.Jacobi ~options:solve_options
+            Markov.Steady.solve_stats ~method_:Markov.Steady.Power ~options:solve_options
               ~jobs:par_jobs chain_p)
       in
       let par_states_match =
@@ -318,9 +318,9 @@ let net_row k =
         && Pepanet.Net_statespace.n_transitions space_p
            = Pepanet.Net_statespace.n_transitions space
       in
-      let par_divergence = steady_divergence pi_j1 pi_p in
+      let par_divergence = steady_divergence pi_seq_power pi_p in
       record_par ~states_match:par_states_match ~divergence:par_divergence;
-      let par_seq_total_s = build_s +. assemble_s +. j1_solve_s in
+      let par_seq_total_s = build_s +. assemble_s +. seq_power_solve_s in
       let par_total = par_build_s +. par_assemble_s +. par_solve_s in
       let par_speedup = if par_total > 0.0 then par_seq_total_s /. par_total else 0.0 in
       Some
@@ -372,7 +372,7 @@ let net_row k =
    chain where the stationary methods need thousands of sweeps, which
    is exactly the regime BiCGStab is for.  The family sweeps capacity
    up to 99 (a million states), built with the packed-key parallel
-   explorer and solved exactly with BiCGStab on the domain pool.  Up to
+   explorer and solved exactly with (sequential) BiCGStab.  Up to
    the capacity bound below, a sequential Gauss-Seidel solve of the
    same chain cross-checks the steady vector to 1e-10. *)
 
@@ -413,7 +413,7 @@ let tandem_row capacity =
   let chain, assemble_s =
     time ~attrs "bench.tandem.assemble" (fun _ ->
         let chain = Pepa.Statespace.ctmc space in
-        ignore (Markov.Ctmc.generator_transposed ~jobs:par_jobs chain);
+        ignore (Markov.Ctmc.generator_transposed chain);
         chain)
   in
   (* Cross-checked instances solve to the default 1e-12 so the

@@ -506,7 +506,8 @@ let jobs_opt_arg =
   Arg.(
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Domains the daemon should use for this request (0 auto-detects there).")
+        ~doc:"Domains the daemon should use for this request (0 auto-detects there), \
+              capped at the daemon's own $(b,--jobs).")
 
 let client_solve_cmd =
   let run socket tcp jobs path net method_ aggregate fluid =

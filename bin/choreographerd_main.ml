@@ -48,8 +48,8 @@ let workers_arg =
     value & opt int 4
     & info [ "workers" ] ~docv:"N"
         ~doc:"Connection-serving domains: how many clients are served concurrently \
-              (sequential solves run right on their worker; solves asking for \
-              $(b,--jobs) above 1 funnel through the main domain, which owns the \
+              (sequential solves run right on their worker; requests whose capped \
+              job count is above 1 funnel through the main domain, which owns the \
               domain pools).")
 
 let cache_arg =
@@ -98,7 +98,7 @@ let () =
   let info = Cmd.info "choreographerd" ~version:"1.0.0" ~doc in
   let term =
     Term.(
-      const run $ Cli_support.telemetry_term $ socket_arg $ tcp_arg $ workers_arg
+      const run $ Cli_support.daemon_term $ socket_arg $ tcp_arg $ workers_arg
       $ cache_arg)
   in
   exit (Cli_support.eval_cli (Cmd.v info term))

@@ -4,37 +4,14 @@
 
 open Cmdliner
 
-let method_conv =
-  let parse = function
-    | "direct" -> Ok (Some Markov.Steady.Direct)
-    | "jacobi" -> Ok (Some Markov.Steady.Jacobi)
-    | "gauss-seidel" | "gs" -> Ok (Some Markov.Steady.Gauss_seidel)
-    | "power" -> Ok (Some Markov.Steady.Power)
-    | "bicgstab" -> Ok (Some Markov.Steady.Bicgstab)
-    | "auto" -> Ok None
-    | other -> (
-        (* "sor" or "sor:<omega>", omega in (0, 2); plain "sor" uses a
-           mild over-relaxation. *)
-        match String.split_on_char ':' other with
-        | [ "sor" ] -> Ok (Some (Markov.Steady.Sor 1.2))
-        | [ "sor"; omega ] -> (
-            match float_of_string_opt omega with
-            | Some w when w > 0.0 && w < 2.0 -> Ok (Some (Markov.Steady.Sor w))
-            | Some _ | None ->
-                Error (`Msg (Printf.sprintf "SOR relaxation %s outside (0, 2)" omega)))
-        | _ ->
-            Error
-              (`Msg
-                (Printf.sprintf
-                   "unknown method %s (valid: auto, direct, jacobi, gauss-seidel, \
-                    sor[:omega], power, bicgstab)"
-                   other)))
-  in
-  let print fmt m =
-    Format.pp_print_string fmt
-      (match m with None -> "auto" | Some m -> Markov.Steady.method_name m)
-  in
-  Arg.conv (parse, print)
+(* Each option value has one parser and one printer, in
+   [Service.Protocol], shared with the daemon's request decoder. *)
+let conv_of parse print =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun msg -> `Msg msg) (parse s)),
+      fun fmt v -> Format.pp_print_string fmt (print v) )
+
+let method_conv = conv_of Service.Protocol.method_of_string Service.Protocol.method_to_string
 
 let method_arg =
   Arg.(
@@ -42,22 +19,12 @@ let method_arg =
     & opt method_conv None
     & info [ "m"; "method" ] ~docv:"METHOD"
         ~doc:
-          "Steady-state method: auto, direct, jacobi, gauss-seidel, sor[:omega], power or \
+          "Steady-state method: auto, direct, gauss-seidel, sor[:omega], power or \
            bicgstab (preconditioned Krylov iteration — usually the fastest exact method \
            on large chains).")
 
 let aggregate_conv =
-  let parse s =
-    match Markov.Lump.mode_of_string s with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown aggregation mode %s (valid: none, symmetry, lump, both)"
-               s))
-  in
-  let print fmt m = Format.pp_print_string fmt (Markov.Lump.mode_to_string m) in
-  Arg.conv (parse, print)
+  conv_of Service.Protocol.aggregate_of_string Markov.Lump.mode_to_string
 
 let aggregate_arg =
   Arg.(
@@ -77,31 +44,7 @@ let aggregate_arg =
 (* ------------------------------------------------------------------ *)
 
 let fluid_conv =
-  let parse s =
-    let bad () =
-      Error
-        (`Msg
-          (Printf.sprintf
-             "invalid fluid tolerances %s (valid: RTOL or RTOL,ATOL with both positive, \
-              e.g. 1e-8 or 1e-8,1e-12)"
-             s))
-    in
-    let positive v = match float_of_string_opt v with Some f when f > 0.0 -> Some f | _ -> None in
-    match String.split_on_char ',' s with
-    | [ rtol ] -> (
-        match positive rtol with
-        | Some r -> Ok { Fluid.Rk45.default_tolerances with Fluid.Rk45.rtol = r }
-        | None -> bad ())
-    | [ rtol; atol ] -> (
-        match (positive rtol, positive atol) with
-        | Some r, Some a -> Ok { Fluid.Rk45.rtol = r; atol = a }
-        | _ -> bad ())
-    | _ -> bad ()
-  in
-  let print fmt t =
-    Format.fprintf fmt "%g,%g" t.Fluid.Rk45.rtol t.Fluid.Rk45.atol
-  in
-  Arg.conv (parse, print)
+  conv_of Service.Protocol.tolerances_of_string Service.Protocol.tolerances_to_string
 
 let fluid_arg =
   Arg.(
@@ -138,18 +81,7 @@ let jobs_conv =
   let print fmt n = Format.pp_print_int fmt n in
   Arg.conv (parse, print)
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt jobs_conv 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Number of domains (OS threads) for state-space exploration, CSR assembly and \
-           the parallel iterative solvers.  $(b,1) (the default) keeps every phase on \
-           the exact sequential path; $(b,0) auto-detects the machine's core count.  \
-           Results are deterministic at any job count: state numbering and transition \
-           order are identical to the sequential run, and steady-state probabilities \
-           agree to within the solver tolerance.")
+let jobs_arg ~doc = Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let print_fluid_stats (stats : Fluid.Rk45.stats) =
   Printf.eprintf "%s%!" (Choreographer.Render.fluid_stats_line stats)
@@ -339,10 +271,34 @@ let setup level trace metrics metrics_format ledger no_ledger sample jobs =
   Par.set_jobs jobs;
   jobs
 
-let telemetry_term =
+let setup_term ~jobs_doc =
   Term.(
     const setup $ log_level_arg $ trace_arg $ metrics_arg $ metrics_format_arg $ ledger_arg
-    $ no_ledger_arg $ sample_arg $ jobs_arg)
+    $ no_ledger_arg $ sample_arg $ jobs_arg ~doc:jobs_doc)
+
+let telemetry_term =
+  setup_term
+    ~jobs_doc:
+      "Number of domains (OS threads) for the two stages that run on a domain pool: \
+       state-space exploration and the power method's sweeps (also when the power \
+       method is BiCGStab's breakdown fallback).  Every other stage runs sequentially \
+       at any job count.  $(b,1) (the default) keeps every stage sequential; $(b,0) \
+       auto-detects the machine's core count.  Results are deterministic at any job \
+       count: state numbering and transition order are identical to the sequential \
+       run, power-method probabilities agree with it to within the solver tolerance, \
+       and every other method's are bitwise identical."
+
+(* The daemon's --jobs bounds what requests may ask for rather than
+   choosing a count itself. *)
+let daemon_term =
+  setup_term
+    ~jobs_doc:
+      "The largest job count a request may use: a request asking for more domains \
+       (or for $(b,0), auto-detect) runs with at most this many.  $(b,1), the default, \
+       serves every request sequentially; $(b,0) allows the machine's core count.  \
+       The count reaches the same two pooled stages as the one-shot CLIs' \
+       $(b,--jobs): state-space exploration and power-method sweeps.  The \
+       $(b,stats) verb reports it as $(b,jobs_limit)."
 
 (* ------------------------------------------------------------------ *)
 (* Solver diagnostics                                                  *)

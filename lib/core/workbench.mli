@@ -63,9 +63,10 @@ val analyse_pepa :
     read for depends on how mass is spread within a class.
 
     [jobs] overrides the process-wide [Par.jobs] default for the build
-    and the solve; results are deterministic and agree with a
-    sequential run (state numbering exactly, probabilities to well
-    under 1e-10). *)
+    and, when the power method runs, its sweeps — the two pooled
+    stages; results are deterministic and agree with a sequential run
+    (state numbering exactly, power-method probabilities to well under
+    1e-10, every other method's bitwise). *)
 
 val analyse_pepa_string :
   ?name:string ->

@@ -11,6 +11,10 @@ let validate_entry ~n ~context i j r =
   if r <= 0.0 || Float.is_nan r then
     invalid_arg (Printf.sprintf "%s: non-positive rate %g on %d -> %d" context r i j)
 
+let of_rates ~n rates = { n; rates; exit = Sparse.row_sums rates; transposed = None }
+
+(* Self-loops have no effect on a CTMC; both assembly routes discard
+   them inside the CSR pass ([drop_diagonal]). *)
 let of_arrays ~n ~src ~dst ~rate =
   Obs.Span.with_ "ctmc.assemble" (fun span ->
   Obs.Span.add_int span "states" n;
@@ -18,33 +22,12 @@ let of_arrays ~n ~src ~dst ~rate =
   let count = Array.length src in
   if Array.length dst <> count || Array.length rate <> count then
     invalid_arg "Ctmc.of_arrays: column arrays of different lengths";
-  let off_diagonal = ref 0 in
   for k = 0 to count - 1 do
-    validate_entry ~n ~context:"Ctmc.of_arrays" src.(k) dst.(k) rate.(k);
-    if src.(k) <> dst.(k) then incr off_diagonal
+    validate_entry ~n ~context:"Ctmc.of_arrays" src.(k) dst.(k) rate.(k)
   done;
-  (* Self-loops have no effect on a CTMC: drop them before assembly. *)
-  let rows, cols, values =
-    if !off_diagonal = count then (src, dst, rate)
-    else begin
-      let rows = Array.make !off_diagonal 0 in
-      let cols = Array.make !off_diagonal 0 in
-      let values = Array.make !off_diagonal 0.0 in
-      let w = ref 0 in
-      for k = 0 to count - 1 do
-        if src.(k) <> dst.(k) then begin
-          rows.(!w) <- src.(k);
-          cols.(!w) <- dst.(k);
-          values.(!w) <- rate.(k);
-          incr w
-        end
-      done;
-      (rows, cols, values)
-    end
-  in
-  let rates = Sparse.of_arrays ~n_rows:n ~n_cols:n ~rows ~cols ~values in
-  let exit = Sparse.row_sums rates in
-  { n; rates; exit; transposed = None })
+  of_rates ~n
+    (Sparse.of_arrays ~drop_diagonal:true ~n_rows:n ~n_cols:n ~rows:src ~cols:dst
+       ~values:rate))
 
 let of_grouped ~n ~row_start ~dst ~rate =
   Obs.Span.with_ "ctmc.assemble" (fun span ->
@@ -57,26 +40,18 @@ let of_grouped ~n ~row_start ~dst ~rate =
       validate_entry ~n ~context:"Ctmc.of_grouped" i (dst k) (rate k)
     done
   done;
-  (* Self-loops are discarded inside the assembly pass itself
-     ([drop_diagonal]): nothing is ever copied into a filtered triplet
-     set the way [of_arrays] has to. *)
-  let rates =
-    Sparse.of_grouped ~drop_diagonal:true ~n_rows:n ~n_cols:n ~row_start ~col:dst
-      ~value:rate
-  in
-  let exit = Sparse.row_sums rates in
-  { n; rates; exit; transposed = None })
+  of_rates ~n
+    (Sparse.of_grouped ~drop_diagonal:true ~n_rows:n ~n_cols:n ~row_start ~col:dst
+       ~value:rate))
 
 let of_transitions ~n transitions =
-  List.iter
-    (fun (i, j, r) -> validate_entry ~n ~context:"Ctmc.of_transitions" i j r)
-    transitions;
   let count = List.length transitions in
   let src = Array.make count 0 in
   let dst = Array.make count 0 in
   let rate = Array.make count 0.0 in
   List.iteri
     (fun k (i, j, r) ->
+      validate_entry ~n ~context:"Ctmc.of_transitions" i j r;
       src.(k) <- i;
       dst.(k) <- j;
       rate.(k) <- r)
@@ -95,14 +70,14 @@ let neg_exit c = Array.map (fun e -> -.e) c.exit
 
 let generator c = Sparse.add_diagonal c.rates (neg_exit c)
 
-let generator_transposed ?jobs c =
+let generator_transposed c =
   match c.transposed with
   | Some m -> m
   | None ->
       let m =
         Obs.Span.with_ "ctmc.transpose" (fun span ->
             Obs.Span.add_int span "states" c.n;
-            Sparse.transpose_add_diagonal ?jobs c.rates (neg_exit c))
+            Sparse.transpose_add_diagonal c.rates (neg_exit c))
       in
       c.transposed <- Some m;
       m

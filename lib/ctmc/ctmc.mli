@@ -15,27 +15,28 @@ val of_transitions : n:int -> (int * int * float) list -> t
 
 val of_arrays : n:int -> src:int array -> dst:int array -> rate:float array -> t
 (** Flat-column variant of {!of_transitions}: transition [k] goes from
-    [src.(k)] to [dst.(k)] at [rate.(k)].  The assembly is O(nnz) with no
-    intermediate lists; state-space builders that already keep their
-    transitions in columns should prefer this path.  The input arrays are
-    not modified. *)
+    [src.(k)] to [dst.(k)] at [rate.(k)].  Assembled by
+    {!Sparse.of_arrays} with self-loops dropped in the same pass: O(nnz),
+    no intermediate lists, no filtered copy.  The input arrays are not
+    modified. *)
 
 val of_grouped :
   n:int -> row_start:int array -> dst:(int -> int) -> rate:(int -> float) -> t
 (** Build from a transition stream already grouped by source state: the
     transitions of state [i] occupy stream positions [row_start.(i)] to
     [row_start.(i + 1) - 1], read on demand through [dst]/[rate].  Same
-    semantics as {!of_arrays} (parallel transitions summed, self-loops
-    dropped) without ever materialising a src column or coordinate
-    arrays — the assembly path for the compressed state-space
-    transition streams. *)
+    semantics as {!of_arrays} (parallel transitions summed in stream
+    order, self-loops dropped), and bitwise the same chain for the same
+    grouped stream, without ever materialising a src column or
+    coordinate arrays — the assembly path for the compressed
+    state-space transition streams. *)
 
 val n_states : t -> int
 
 val generator : t -> Sparse.t
 (** The generator matrix [Q], including the negative diagonal. *)
 
-val generator_transposed : ?jobs:int -> t -> Sparse.t
+val generator_transposed : t -> Sparse.t
 (** [Q] transposed; the orientation iterative solvers consume.  Computed
     once and cached. *)
 

@@ -7,9 +7,8 @@
    right-preconditioned by a forward Gauss-Seidel triangular solve
    K = D + L on the transposed generator.
 
-   All reductions run over a fixed chunk grid combined in chunk order,
-   so the solve is a deterministic function of the chain and the
-   options alone — bitwise identical at every jobs count. *)
+   The solve runs sequentially: a deterministic function of the chain
+   and the options alone, so its output is the same at every --jobs. *)
 
 type outcome = Converged | Breakdown of string | No_convergence
 
@@ -21,50 +20,39 @@ type result = { pi : float array; iterations : int; residual : float; outcome : 
 let solver_residual = Obs.Metrics.gauge "solver_residual"
 let residual_trajectory = Obs.Metrics.series "solver.residual_trajectory"
 let sweep_seconds = Obs.Metrics.histogram "solver.sweep_s"
-let parallel_sweeps = Obs.Metrics.counter "steady.parallel_sweeps"
 
-(* The reduction grid.  Fixed (rather than derived from the pool size)
-   so sequential and parallel runs fold partial sums identically;
-   [Par.sum_floats ~chunk] collapses to a direct call on a single
-   chunk, and the sequential path below mirrors both cases exactly. *)
+(* Sums fold partials over a fixed grid of [red_chunk]-entry chunks in
+   chunk order.  The grid fixes the rounding of every dot product and
+   norm: changing it would change the last bits of every solution. *)
 let red_chunk = 16384
 
-let chunked_sum ?pool ~n f =
+let chunked_sum ~n f =
   if n <= red_chunk then f 0 n
-  else
-    match pool with
-    | Some p -> Par.sum_floats p ~chunk:red_chunk ~lo:0 ~hi:n f
-    | None ->
-        let n_chunks = (n + red_chunk - 1) / red_chunk in
-        let acc = ref 0.0 in
-        for c = 0 to n_chunks - 1 do
-          let start = c * red_chunk in
-          acc := !acc +. f start (min n (start + red_chunk))
-        done;
-        !acc
+  else begin
+    let acc = ref 0.0 in
+    let start = ref 0 in
+    while !start < n do
+      acc := !acc +. f !start (min n (!start + red_chunk));
+      start := !start + red_chunk
+    done;
+    !acc
+  end
 
-let dot ?pool (a : float array) (b : float array) =
-  chunked_sum ?pool ~n:(Array.length a) (fun lo hi ->
+let dot (a : float array) (b : float array) =
+  chunked_sum ~n:(Array.length a) (fun lo hi ->
       let s = ref 0.0 in
       for i = lo to hi - 1 do
         s := !s +. (a.(i) *. b.(i))
       done;
       !s)
 
-let vec_sum ?pool (a : float array) =
-  chunked_sum ?pool ~n:(Array.length a) (fun lo hi ->
+let vec_sum (a : float array) =
+  chunked_sum ~n:(Array.length a) (fun lo hi ->
       let s = ref 0.0 in
       for i = lo to hi - 1 do
         s := !s +. a.(i)
       done;
       !s)
-
-(* Element-wise updates have disjoint writes, so running them on the
-   pool is bitwise identical to the sequential loop. *)
-let for_range ?pool n body =
-  match pool with
-  | Some p when n >= red_chunk -> Par.parallel_for p ~lo:0 ~hi:n body
-  | _ -> body 0 n
 
 let inf_norm (a : float array) =
   let m = ref 0.0 in
@@ -74,7 +62,7 @@ let inf_norm (a : float array) =
   done;
   !m
 
-let bicgstab ?initial ?pool ~tolerance ~max_iterations c =
+let bicgstab ?initial ~tolerance ~max_iterations c =
   let n = Ctmc.n_states c in
   let qt = Ctmc.generator_transposed c in
   (* The normalisation row is scaled to sit at the same magnitude as
@@ -93,17 +81,16 @@ let bicgstab ?initial ?pool ~tolerance ~max_iterations c =
   (* A x: the transposed-generator product with the first component
      replaced by the scaled mass of x (the normalisation row). *)
   let apply x y =
-    Sparse.mul_vec_into ?pool qt x y;
-    y.(0) <- gamma *. vec_sum ?pool x
+    Sparse.mul_vec_into qt x y;
+    y.(0) <- gamma *. vec_sum x
   in
   (* Forward Gauss-Seidel preconditioner: z = (D + L)^{-1} v over the
      plain transposed generator (the rank-one constraint row is left
      to the Krylov process).  Jacobi scaling alone leaves the
      preconditioned spectrum non-normal enough that BiCGStab's true
      residual stalls around 1e-4 at 10^6 states; the triangular solve
-     clusters it near 1.  Sequential by construction, so bitwise
-     identical at every jobs count.  A zero diagonal (absorbing state
-     in a malformed chain) degrades to the identity on that row. *)
+     clusters it near 1.  A zero diagonal (absorbing state in a
+     malformed chain) degrades to the identity on that row. *)
   let precond z v =
     for i = 0 to n - 1 do
       let acc = ref v.(i) in
@@ -130,10 +117,9 @@ let bicgstab ?initial ?pool ~tolerance ~max_iterations c =
   (* r = b - A x, with b = gamma * e_0. *)
   let fresh_residual () =
     apply x r;
-    for_range ?pool n (fun lo hi ->
-        for i = lo to hi - 1 do
-          r.(i) <- -.r.(i)
-        done);
+    for i = 0 to n - 1 do
+      r.(i) <- -.r.(i)
+    done;
     r.(0) <- gamma +. r.(0);
     Array.blit r 0 r_hat 0 n
   in
@@ -156,19 +142,18 @@ let bicgstab ?initial ?pool ~tolerance ~max_iterations c =
      stationary methods, decoupled from the inner Krylov residual. *)
   let finalize_candidate src =
     let pi = Array.map (fun v -> if v > 0.0 then v else 0.0) src in
-    let mass = vec_sum ?pool pi in
+    let mass = vec_sum pi in
     let pi =
       if mass > 0.0 && Float.is_finite mass then begin
         let inv = 1.0 /. mass in
-        for_range ?pool n (fun lo hi ->
-            for i = lo to hi - 1 do
-              pi.(i) <- pi.(i) *. inv
-            done);
+        for i = 0 to n - 1 do
+          pi.(i) <- pi.(i) *. inv
+        done;
         pi
       end
       else Array.make n (1.0 /. float_of_int n)
     in
-    Sparse.mul_vec_into ?pool qt pi work;
+    Sparse.mul_vec_into qt pi work;
     (pi, inf_norm work)
   in
   let finalize iterations outcome =
@@ -254,17 +239,16 @@ let bicgstab ?initial ?pool ~tolerance ~max_iterations c =
     else begin
       try
         let sweep_start = if obs_on then Obs.Clock.now () else 0.0 in
-        let rho' = dot ?pool r_hat r in
+        let rho' = dot r_hat r in
         if (not (Float.is_finite rho')) || abs_float rho' < 1e-300 then degenerate "rho" rho';
         let beta = rho' /. !rho *. (!alpha /. !omega) in
         let om = !omega in
-        for_range ?pool n (fun lo hi ->
-            for i = lo to hi - 1 do
-              p.(i) <- r.(i) +. (beta *. (p.(i) -. (om *. v.(i))))
-            done);
+        for i = 0 to n - 1 do
+          p.(i) <- r.(i) +. (beta *. (p.(i) -. (om *. v.(i))))
+        done;
         precond p_hat p;
         apply p_hat v;
-        let denom = dot ?pool r_hat v in
+        let denom = dot r_hat v in
         if (not (Float.is_finite denom)) || abs_float denom < 1e-300 then
           degenerate "r_hat . v" denom;
         rho := rho';
@@ -275,11 +259,10 @@ let bicgstab ?initial ?pool ~tolerance ~max_iterations c =
            inf-norm dwarfs that scale is a near-breakdown artefact
            about to wreck the iterate — restart before applying it. *)
         if abs_float a *. inf_norm p_hat > 1e3 then degenerate "alpha step" a;
-        for_range ?pool n (fun lo hi ->
-            for i = lo to hi - 1 do
-              x.(i) <- x.(i) +. (a *. p_hat.(i));
-              s.(i) <- r.(i) -. (a *. v.(i))
-            done);
+        for i = 0 to n - 1 do
+          x.(i) <- x.(i) +. (a *. p_hat.(i));
+          s.(i) <- r.(i) -. (a *. v.(i))
+        done;
         incr iterations;
         if inf_norm s <= !target then begin
           Array.blit s 0 r 0 n;
@@ -293,23 +276,21 @@ let bicgstab ?initial ?pool ~tolerance ~max_iterations c =
         else begin
           precond s_hat s;
           apply s_hat t;
-          let tt = dot ?pool t t in
-          let ts = dot ?pool t s in
+          let tt = dot t t in
+          let ts = dot t s in
           if (not (Float.is_finite tt)) || tt < 1e-300 then degenerate "t . t" tt;
           omega := ts /. tt;
           if (not (Float.is_finite !omega)) || abs_float !omega < 1e-300 then
             degenerate "omega" !omega;
           let om = !omega in
           if abs_float om *. inf_norm s_hat > 1e3 then degenerate "omega step" om;
-          for_range ?pool n (fun lo hi ->
-              for i = lo to hi - 1 do
-                x.(i) <- x.(i) +. (om *. s_hat.(i));
-                r.(i) <- s.(i) -. (om *. t.(i))
-              done);
+          for i = 0 to n - 1 do
+            x.(i) <- x.(i) +. (om *. s_hat.(i));
+            r.(i) <- s.(i) -. (om *. t.(i))
+          done;
           let r_inf = inf_norm r in
           record !iterations r_inf;
           if obs_on then Obs.Metrics.observe sweep_seconds (Obs.Clock.now () -. sweep_start);
-          if pool <> None then Obs.Metrics.add parallel_sweeps 1;
           (* The recursively-updated residual drifts away from [b - A x]
              when alpha/omega grow large (heavy cancellation in the x
              updates); past a point the recursion converges on fiction.

@@ -12,15 +12,13 @@
     magnitude as the generator rows.  A solution of [A x = b] is an
     unnormalised steady vector with unit mass.  A forward Gauss-Seidel
     triangular solve [K = D + L] on the transposed generator is applied
-    as the right preconditioner — sequential by construction, so it is
-    trivially identical at every jobs count.
+    as the right preconditioner.
 
-    Each BiCGStab sweep costs two sparse matrix–vector products (run
-    through [Sparse.mul_vec_into ?pool], so they parallelise on the
-    domain pool) and two preconditioner solves (each one CSR pass),
-    plus a handful of dot products and vector updates.  Unlike the
-    stationary methods, the iteration count is typically O(sqrt) of
-    theirs on slowly-mixing chains.
+    Each BiCGStab sweep costs two sparse matrix–vector products and two
+    preconditioner solves (each one CSR pass), plus a handful of dot
+    products and vector updates.  Unlike the stationary methods, the
+    iteration count is typically O(sqrt) of theirs on slowly-mixing
+    chains.
 
     Robustness: a stall watchdog restarts the process when the residual
     fails to improve 10% across a 250-sweep window; every 128 sweeps
@@ -31,13 +29,11 @@
     iterate; and restarts resume from the best iterate seen, which is
     also the candidate a failed solve reports.
 
-    Determinism: every floating-point reduction (dot products, norms,
-    the normalisation sum) is computed over a fixed chunk grid and
-    combined in chunk order, independent of the pool size — the result
-    vector is bitwise identical for any [jobs] count, including the
-    sequential path.  This is a stronger guarantee than the stationary
-    parallel solvers give (their normalisation re-associates with the
-    pool size) and is what lets CI diff [--jobs N] runs byte for
+    Determinism: the solve is sequential, and every floating-point
+    reduction (dot products, norms, the normalisation sum) folds
+    per-chunk partials over a fixed 16,384-entry grid in chunk order —
+    the result is a function of the chain alone, the same at every
+    [--jobs], which is what lets CI diff [--jobs N] runs byte for
     byte. *)
 
 type outcome =
@@ -67,7 +63,6 @@ type result = {
 
 val bicgstab :
   ?initial:float array ->
-  ?pool:Par.Pool.t ->
   tolerance:float ->
   max_iterations:int ->
   Ctmc.t ->
@@ -78,5 +73,4 @@ val bicgstab :
     absorbing state (the caller checks, as for the other iterative
     methods).  Publishes the shared solver telemetry: the
     ["solver_residual"] gauge and ["solver.residual_trajectory"] series
-    per sweep, ["solver.sweep_s"] per sweep, and
-    ["steady.parallel_sweeps"] when a pool is used. *)
+    per sweep, and ["solver.sweep_s"] per sweep. *)

@@ -1,9 +1,8 @@
 (** Compressed sparse row (CSR) matrices over [float].
 
-    This is the storage format for CTMC generator matrices.  Construction
-    goes through {!of_triplets}, which sorts entries, merges duplicates by
-    summation and drops explicit zeros, so callers can emit transitions in
-    any order. *)
+    This is the storage format for CTMC generator matrices.  Every
+    construction path ends in {!of_grouped}'s per-row sort and
+    duplicate merge, so callers can emit entries in any order. *)
 
 type t = private {
   n_rows : int;
@@ -12,25 +11,6 @@ type t = private {
   col_index : int array;
   values : float array;
 }
-
-val of_arrays :
-  n_rows:int ->
-  n_cols:int ->
-  rows:int array ->
-  cols:int array ->
-  values:float array ->
-  t
-(** Build a matrix from parallel coordinate arrays.  This is the
-    allocation-lean construction path: a counting sort by row places
-    every entry in O(nnz), duplicate coordinates are merged by summation
-    in place, and no intermediate lists are built.  The input arrays are
-    not modified.  Raises [Invalid_argument] if the arrays differ in
-    length or an index is out of range.
-
-    When the process-wide [Par.jobs] default is above 1 and the input
-    is large enough to amortise the dispatch, assembly runs as a
-    stable per-block counting sort on the domain pool; the result is
-    bitwise identical to the sequential build. *)
 
 val of_grouped :
   drop_diagonal:bool ->
@@ -46,13 +26,27 @@ val of_grouped :
     [col]/[value] — no coordinate arrays are ever materialised, which
     is the point: the state-space builders feed their compressed
     transition streams straight in.  Within-row order is arbitrary;
-    duplicate columns are merged by summation in stream order, so the
-    result is bitwise identical to {!of_arrays} on the flattened
-    stream.  [drop_diagonal] discards entries with
-    [col = row] during the pass — CTMC assembly uses it because
-    self-loops never affect a generator.  Raises [Invalid_argument] if
-    [row_start] is not a nondecreasing scan starting at 0 or a column
-    is out of range. *)
+    duplicate columns are merged by summation, left to right in stream
+    order, and stored zeros are kept.  [drop_diagonal] discards
+    entries with [col = row] during the pass — CTMC assembly uses it
+    because self-loops never affect a generator.  Raises
+    [Invalid_argument] if [row_start] is not a nondecreasing scan
+    starting at 0 or a column is out of range. *)
+
+val of_arrays :
+  drop_diagonal:bool ->
+  n_rows:int ->
+  n_cols:int ->
+  rows:int array ->
+  cols:int array ->
+  values:float array ->
+  t
+(** Build a matrix from parallel coordinate arrays: a stable counting
+    sort by row, O(nnz), groups the entries, then {!of_grouped} merges
+    each row — so the result is bitwise identical to {!of_grouped} on
+    the same entries grouped by row in input order.  The input arrays
+    are not modified.  Raises [Invalid_argument] if the arrays differ
+    in length or an index is out of range. *)
 
 val of_triplets : n_rows:int -> n_cols:int -> (int * int * float) list -> t
 (** Build a matrix from [(row, col, value)] triplets.  Duplicate
@@ -82,19 +76,18 @@ val mul_vec : t -> float array -> float array
 val mul_vec_into : ?pool:Par.Pool.t -> t -> float array -> float array -> unit
 (** [mul_vec_into m x y] stores [m x] in [y], allocating nothing.  The
     workhorse of the iterative solvers' residual checks.  Raises
-    [Invalid_argument] on a dimension mismatch.  With [?pool], rows are
-    computed in parallel; each row is still one left-to-right dot
-    product, so the result is bitwise identical to sequential. *)
+    [Invalid_argument] on a dimension mismatch.  With [?pool] (the
+    power method's sweeps), rows are computed in parallel; each row is
+    still one left-to-right dot product, so the result is bitwise
+    identical to sequential. *)
 
 val vec_mul : float array -> t -> float array
 (** [vec_mul x m] is the vector-matrix product [x m] (row vector times
     matrix), the natural operation for probability vectors. *)
 
-val transpose : ?jobs:int -> t -> t
+val transpose : t -> t
 (** CSR transpose by counting sort on columns: O(nnz + n), no
-    intermediate triplets.  [?jobs] overrides the process-wide default
-    for this call; the parallel transpose is bitwise identical to the
-    sequential one. *)
+    intermediate triplets. *)
 
 val add_diagonal : t -> float array -> t
 (** [add_diagonal m d] is the square matrix [m + diag d], streamed row
@@ -105,13 +98,13 @@ val add_diagonal : t -> float array -> t
     or [m] already stores a diagonal entry (the CTMC rate matrix never
     does). *)
 
-val transpose_add_diagonal : ?jobs:int -> t -> float array -> t
+val transpose_add_diagonal : t -> float array -> t
 (** [transpose_add_diagonal m d] is [transpose (add_diagonal m d)]
     assembled in a single fused counting-sort pass, without
     materialising the intermediate matrix — the construction path for
     transposed CTMC generators, halving peak storage during assembly.
-    Preconditions as for {!add_diagonal}; bitwise identical (at any
-    [jobs] count) to the composed form. *)
+    Preconditions as for {!add_diagonal}; bitwise identical to the
+    composed form. *)
 
 val diagonal : t -> float array
 (** The main diagonal as a dense vector (zero where not stored). *)

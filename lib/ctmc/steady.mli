@@ -1,12 +1,12 @@
 (** Steady-state solution of a CTMC: the probability vector [pi] with
     [pi Q = 0] and [sum pi = 1].
 
-    Six solution methods are provided, mirroring the PEPA Workbench
+    Five solution methods are provided, mirroring the PEPA Workbench
     plus one Krylov method: a direct dense LU solver (exact up to
-    rounding, limited to small chains), Jacobi, Gauss–Seidel and SOR
-    iterations on the normal equations, the power method on the
-    uniformised jump chain, and preconditioned BiCGStab on the
-    replaced-row normal system (see {!Krylov}).
+    rounding, limited to small chains), Gauss–Seidel and SOR iterations
+    on the normal equations, the power method on the uniformised jump
+    chain, and preconditioned BiCGStab on the replaced-row normal
+    system (see {!Krylov}).
 
     The iterative methods run allocation-free: each sweep updates a
     preallocated candidate vector in place and the residual — itself a
@@ -16,7 +16,6 @@
 type method_ =
   | Direct       (** dense Gaussian elimination on [Q^T] with the
                      normalisation condition replacing one equation *)
-  | Jacobi
   | Gauss_seidel
   | Sor of float (** successive over-relaxation with the given
                      relaxation parameter in (0, 2); [Sor 1.0] is
@@ -32,8 +31,8 @@ type method_ =
                      products.  On a scalar breakdown the solve falls
                      back to power iteration warm-started from the
                      Krylov candidate, and the returned stats name the
-                     method that produced the answer.  Bitwise
-                     deterministic at every [jobs] count. *)
+                     method that produced the answer.  Sequential, so
+                     bitwise the same at every [jobs] count. *)
 
 type options = {
   tolerance : float;      (** convergence threshold on the residual
@@ -90,16 +89,16 @@ val solve :
     handful of sweeps.  The direct method ignores it.  Raises
     {!Not_solvable} on a dimension mismatch.
 
-    [jobs] overrides the process-wide [Par.jobs] default for this
-    solve.  With an effective count above 1 (and a chain large enough
-    to amortise the dispatch), Jacobi and power sweeps, residual
-    measurement and renormalisation run on the domain pool.
-    Gauss-Seidel and SOR propagate new values within a sweep, so their
-    sweeps stay sequential regardless of [jobs] and their results are
-    bitwise independent of it; parallel Jacobi/power runs agree with
-    sequential ones to well inside the solver tolerance (only the
-    normalisation sum is re-associated) and are themselves
-    deterministic for a fixed jobs count. *)
+    [jobs] overrides the process-wide [Par.jobs] default for the
+    power method, the one solver that uses the domain pool: with an
+    effective count above 1 and at least 4096 states, its sweeps,
+    residual measurement and renormalisation run on the pool — also
+    when it runs as BiCGStab's breakdown fallback.  A pooled power
+    solve agrees with the sequential one to well inside the solver
+    tolerance (only the normalisation sum is re-associated) and is
+    itself deterministic for a fixed jobs count.  Every other method
+    runs on the calling domain, so its result is bitwise independent
+    of [jobs]. *)
 
 val solve_stats :
   ?method_:method_ ->
@@ -114,11 +113,16 @@ val solve_stats :
 
 val last_stats : unit -> stats option
 (** Statistics of the most recent successful [solve]/[solve_stats] call
-    in this process, if any — the hook the CLIs use to echo solver
-    diagnostics to stderr after a run. *)
+    on the calling domain, if any — the hook the CLIs and the daemon
+    use to echo solver diagnostics after a run.  Kept per domain, so
+    concurrent solves on different domains never see each other's
+    stats. *)
 
 val residual : Ctmc.t -> float array -> float
 (** [residual c pi] is [||pi Q||_inf], the defect of a candidate
     solution. *)
 
 val method_name : method_ -> string
+(** The name the [solver:] line and span attributes print.  [Sor _]
+    prints as ["sor"], without its relaxation parameter, so this is not
+    a parser round trip. *)

@@ -57,7 +57,8 @@ module Pool = struct
     loop 0
 
   let create size =
-    if size < 1 then invalid_arg "Par.Pool.create: size must be >= 1";
+    (* [pool] hands out no pool of one: every pool has workers. *)
+    if size < 2 then invalid_arg "Par.Pool.create: size must be >= 2";
     let t =
       {
         size;
@@ -79,28 +80,25 @@ module Pool = struct
   let size t = t.size
 
   let run t f =
-    if t.size = 1 then f 0
-    else begin
-      Mutex.lock t.mutex;
-      t.job <- Some f;
-      t.failure <- None;
-      t.epoch <- t.epoch + 1;
-      t.outstanding <- t.size - 1;
-      Condition.broadcast t.work_ready;
-      Mutex.unlock t.mutex;
-      let caller_failure = (try f 0; None with exn -> Some exn) in
-      Mutex.lock t.mutex;
-      while t.outstanding > 0 do
-        Condition.wait t.work_done t.mutex
-      done;
-      t.job <- None;
-      let worker_failure = t.failure in
-      t.failure <- None;
-      Mutex.unlock t.mutex;
-      match (caller_failure, worker_failure) with
-      | Some exn, _ | None, Some exn -> raise exn
-      | None, None -> ()
-    end
+    Mutex.lock t.mutex;
+    t.job <- Some f;
+    t.failure <- None;
+    t.epoch <- t.epoch + 1;
+    t.outstanding <- t.size - 1;
+    Condition.broadcast t.work_ready;
+    Mutex.unlock t.mutex;
+    let caller_failure = (try f 0; None with exn -> Some exn) in
+    Mutex.lock t.mutex;
+    while t.outstanding > 0 do
+      Condition.wait t.work_done t.mutex
+    done;
+    t.job <- None;
+    let worker_failure = t.failure in
+    t.failure <- None;
+    Mutex.unlock t.mutex;
+    match (caller_failure, worker_failure) with
+    | Some exn, _ | None, Some exn -> raise exn
+    | None, None -> ()
 
   let shutdown t =
     Mutex.lock t.mutex;
@@ -144,7 +142,7 @@ let parallel_for p ?chunk ~lo ~hi f =
     let chunk =
       match chunk with Some c -> max 1 c | None -> default_chunk ~workers n
     in
-    if workers = 1 || n <= chunk then f lo hi
+    if n <= chunk then f lo hi
     else begin
       let next = Atomic.make lo in
       Pool.run p (fun _ ->
@@ -166,14 +164,9 @@ let parallel_chunks p ?chunk ~lo ~hi f =
       match chunk with Some c -> max 1 c | None -> default_chunk ~workers n
     in
     let n_chunks = (n + chunk - 1) / chunk in
-    (* Every chunk ordinal runs exactly once even sequentially, so
-       callers may index per-chunk scratch space by ordinal. *)
+    (* Every chunk ordinal runs exactly once, so callers may index
+       per-chunk scratch space by ordinal. *)
     if n_chunks = 1 then f ~chunk:0 lo hi
-    else if workers = 1 then
-      for c = 0 to n_chunks - 1 do
-        let start = lo + (c * chunk) in
-        f ~chunk:c start (min hi (start + chunk))
-      done
     else begin
       let next = Atomic.make 0 in
       Pool.run p (fun _ ->
@@ -190,16 +183,14 @@ let parallel_chunks p ?chunk ~lo ~hi f =
     n_chunks
   end
 
-let sum_floats p ?chunk ~lo ~hi f =
+let sum_floats p ~lo ~hi f =
   let n = hi - lo in
   if n <= 0 then 0.0
   else begin
     let workers = Pool.size p in
-    let chunk =
-      match chunk with Some c -> max 1 c | None -> default_chunk ~workers n
-    in
+    let chunk = default_chunk ~workers n in
     let n_chunks = (n + chunk - 1) / chunk in
-    if workers = 1 || n_chunks = 1 then f lo hi
+    if n_chunks = 1 then f lo hi
     else begin
       let partials = Array.make n_chunks 0.0 in
       ignore

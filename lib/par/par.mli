@@ -3,13 +3,13 @@
 
     The module provides three layers:
 
-    - a reusable {!Pool} of worker domains driven by an epoch /
+    - cached pools of worker domains ({!pool}) driven by an epoch /
       condition-variable handshake (no work stealing, no per-task
       spawning);
     - chunked loop helpers ({!parallel_for}, {!sum_floats}) whose
       floating-point reductions are deterministic for a fixed
       [(range, pool size)] pair because partials are combined in chunk
-      order;
+      order — the power method's sweeps run on them;
     - a generic level-synchronous breadth-first {!Explore} engine with
       hash-sharded dedup tables whose state numbering is exactly the
       numbering the sequential first-occurrence interning would
@@ -43,25 +43,8 @@ val recommended : unit -> int
 module Pool : sig
   type t
 
-  val create : int -> t
-  (** [create size] spawns [size - 1] worker domains; the caller's
-      domain acts as worker [0] during {!run}. Raises
-      [Invalid_argument] if [size < 1]. *)
-
   val size : t -> int
-
-  val run : t -> (int -> unit) -> unit
-  (** [run pool f] executes [f w] on every worker [w] in
-      [0 .. size - 1] ([f 0] on the calling domain) and returns when
-      all have finished. The mutex handshake at the end of the barrier
-      establishes happens-before, so writes made by workers are visible
-      to the coordinator afterwards. If any worker raises, one of the
-      raised exceptions is re-raised after all workers finished. Not
-      reentrant. *)
-
-  val shutdown : t -> unit
-  (** Join and discard the worker domains. The pool must not be used
-      afterwards. *)
+  (** Number of domains, the caller's included. *)
 end
 
 val pool : ?jobs:int -> unit -> Pool.t option
@@ -76,35 +59,20 @@ val pool : ?jobs:int -> unit -> Pool.t option
     All helpers fall back to a direct in-place call when the range fits
     a single chunk, so they are safe (just pointless) on tiny inputs. *)
 
-val default_chunk : workers:int -> int -> int
-(** The chunk size used when [?chunk] is omitted: the range is split
-    into at most [4 * workers] chunks. Deterministic in
-    [(workers, range length)]. *)
-
 val parallel_for :
   Pool.t -> ?chunk:int -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 (** [parallel_for pool ~lo ~hi f] calls [f start stop] over disjoint
-    sub-ranges covering [lo .. hi - 1]. Chunks are claimed from an
-    atomic counter, so the assignment of chunks to workers is
-    nondeterministic — the body must only write to locations owned by
-    its sub-range. *)
+    sub-ranges covering [lo .. hi - 1] (at most [4 * size] chunks when
+    [?chunk] is omitted). Chunks are claimed from an atomic counter, so
+    the assignment of chunks to workers is nondeterministic — the body
+    must only write to locations owned by its sub-range. If any worker
+    raises, one of the raised exceptions is re-raised after all
+    workers finished, and the pool stays usable. *)
 
-val parallel_chunks :
-  Pool.t ->
-  ?chunk:int ->
-  lo:int ->
-  hi:int ->
-  (chunk:int -> int -> int -> unit) ->
-  int
-(** Like {!parallel_for} but passes the chunk ordinal (0-based over a
-    grid fixed by [(range, chunk size)]) and returns the number of
-    chunks, enabling deterministic per-chunk accumulation. *)
-
-val sum_floats :
-  Pool.t -> ?chunk:int -> lo:int -> hi:int -> (int -> int -> float) -> float
+val sum_floats : Pool.t -> lo:int -> hi:int -> (int -> int -> float) -> float
 (** [sum_floats pool ~lo ~hi f] sums the partial results [f start stop]
     over the chunk grid, combining partials in chunk order — the result
-    is a deterministic function of [(range, chunk size, f)], independent
+    is a deterministic function of [(range, pool size, f)], independent
     of scheduling. *)
 
 (** {1 Level-synchronous exploration} *)

@@ -294,8 +294,24 @@ let option_pairs_of ~(options : Protocol.options) extra =
 let entry_key kind source = Protocol.kind_to_string kind ^ ":" ^ Digest.string source
 let fresh_entry () = { lock = Mutex.create (); memo = [] }
 
+(* A request's job count, resolved as the CLI resolves --jobs (0 = this
+   machine's cores) and capped at the daemon's own resolved --jobs, the
+   [jobs_limit] that [stats] reports: without the cap every distinct
+   request value would build a domain pool that lives until exit. *)
+let request_jobs (options : Protocol.options) =
+  min (Par.resolve options.Protocol.jobs) (Par.jobs ())
+
 let normalise (options : Protocol.options) =
-  { options with Protocol.jobs = Par.resolve options.Protocol.jobs }
+  { options with Protocol.jobs = request_jobs options }
+
+let effective_jobs = function
+  | Protocol.Solve { options; _ }
+  | Protocol.Pipeline { options; _ }
+  | Protocol.Query { options; _ }
+  | Protocol.Reflect { options; _ }
+  | Protocol.Sweep { options; _ } ->
+      request_jobs options
+  | Protocol.Stats | Protocol.Shutdown -> 1
 
 let stats_json t =
   let hits, misses, evictions = Cache.counts t.cache in

@@ -15,8 +15,9 @@
 
     Requests for the same model serialise on the entry's lock;
     requests for distinct models run concurrently.  The caller (the
-    server) is responsible for routing requests with an effective job
-    count above 1 to the domain that owns the [Par] pools. *)
+    server) is responsible for routing requests with an
+    {!effective_jobs} above 1 to the domain that owns the [Par]
+    pools. *)
 
 type t
 
@@ -41,6 +42,13 @@ val handle : t -> Protocol.request -> outcome
     exit code and stderr bytes ({!Errors}); unexpected exceptions are
     reported with code 125.  [Shutdown] is acknowledged with an empty
     ok response; actually stopping is the server's business. *)
+
+val effective_jobs : Protocol.request -> int
+(** The job count a request runs with: its [jobs] option resolved as
+    the CLI resolves [--jobs] ([0] = this machine's cores), capped at
+    the process-wide [Par.jobs ()] — the daemon's own [--jobs], which
+    {!stats_json} reports as [jobs_limit].  [1] for [stats] and
+    [shutdown].  {!handle} runs every request at this count. *)
 
 val stats_json : t -> Obs.Json.t
 (** The [stats] verb payload: uptime, request count, cache occupancy

@@ -84,54 +84,86 @@ let bool_field ~default name json =
   | Some _ -> fail "field %s is not a boolean" name
 
 (* ------------------------------------------------------------------ *)
-(* Option value stringifiers — the CLI's own vocabulary                *)
+(* Option values: the one parser and printer of each, shared with the  *)
+(* CLI's converters                                                    *)
 (* ------------------------------------------------------------------ *)
+
+(* The shortest of %.15g/%.16g/%.17g that reads back as [f], so every
+   printed option value parses back to exactly the value printed and
+   distinct values never share a cache key.  Usual tolerances and
+   relaxation factors print as under %g. *)
+let float_to_string f =
+  let s = Printf.sprintf "%.15g" f in
+  if float_of_string s = f then s
+  else
+    let s = Printf.sprintf "%.16g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
 let method_to_string = function
   | None -> "auto"
   | Some Markov.Steady.Direct -> "direct"
-  | Some Markov.Steady.Jacobi -> "jacobi"
   | Some Markov.Steady.Gauss_seidel -> "gauss-seidel"
   | Some Markov.Steady.Power -> "power"
   | Some Markov.Steady.Bicgstab -> "bicgstab"
-  | Some (Markov.Steady.Sor w) -> Printf.sprintf "sor:%g" w
+  | Some (Markov.Steady.Sor w) -> "sor:" ^ float_to_string w
 
 let method_of_string = function
-  | "auto" -> None
-  | "direct" -> Some Markov.Steady.Direct
-  | "jacobi" -> Some Markov.Steady.Jacobi
-  | "gauss-seidel" | "gs" -> Some Markov.Steady.Gauss_seidel
-  | "power" -> Some Markov.Steady.Power
-  | "bicgstab" -> Some Markov.Steady.Bicgstab
+  | "auto" -> Ok None
+  | "direct" -> Ok (Some Markov.Steady.Direct)
+  | "gauss-seidel" | "gs" -> Ok (Some Markov.Steady.Gauss_seidel)
+  | "power" -> Ok (Some Markov.Steady.Power)
+  | "bicgstab" -> Ok (Some Markov.Steady.Bicgstab)
   | other -> (
+      (* "sor" or "sor:<omega>", omega in (0, 2); plain "sor" uses a
+         mild over-relaxation. *)
       match String.split_on_char ':' other with
-      | [ "sor" ] -> Some (Markov.Steady.Sor 1.2)
+      | [ "sor" ] -> Ok (Some (Markov.Steady.Sor 1.2))
       | [ "sor"; omega ] -> (
           match float_of_string_opt omega with
-          | Some w when w > 0.0 && w < 2.0 -> Some (Markov.Steady.Sor w)
-          | Some _ | None -> fail "SOR relaxation %s outside (0, 2)" omega)
-      | _ -> fail "unknown method %s" other)
+          | Some w when w > 0.0 && w < 2.0 -> Ok (Some (Markov.Steady.Sor w))
+          | Some _ | None -> Error (Printf.sprintf "SOR relaxation %s outside (0, 2)" omega))
+      | _ ->
+          Error
+            (Printf.sprintf
+               "unknown method %s (valid: auto, direct, gauss-seidel, sor[:omega], power, \
+                bicgstab)"
+               other))
 
-let fluid_to_string = function
-  | None -> "off"
-  | Some t -> Printf.sprintf "%g,%g" t.Fluid.Rk45.rtol t.Fluid.Rk45.atol
+let aggregate_of_string s =
+  match Markov.Lump.mode_of_string s with
+  | Some m -> Ok m
+  | None ->
+      Error (Printf.sprintf "unknown aggregation mode %s (valid: none, symmetry, lump, both)" s)
+
+let tolerances_to_string t =
+  float_to_string t.Fluid.Rk45.rtol ^ "," ^ float_to_string t.Fluid.Rk45.atol
+
+let tolerances_of_string s =
+  let positive v = match float_of_string_opt v with Some f when f > 0.0 -> Some f | _ -> None in
+  let parsed =
+    match String.split_on_char ',' s with
+    | [ rtol ] ->
+        Option.map
+          (fun r -> { Fluid.Rk45.default_tolerances with Fluid.Rk45.rtol = r })
+          (positive rtol)
+    | [ rtol; atol ] -> (
+        match (positive rtol, positive atol) with
+        | Some r, Some a -> Some { Fluid.Rk45.rtol = r; atol = a }
+        | _ -> None)
+    | _ -> None
+  in
+  Option.to_result parsed
+    ~none:
+      (Printf.sprintf
+         "invalid fluid tolerances %s (valid: RTOL or RTOL,ATOL with both positive, e.g. \
+          1e-8 or 1e-8,1e-12)"
+         s)
+
+let fluid_to_string = function None -> "off" | Some t -> tolerances_to_string t
 
 let fluid_of_string = function
-  | "off" -> None
-  | s -> (
-      let positive v =
-        match float_of_string_opt v with Some f when f > 0.0 -> Some f | _ -> None
-      in
-      match String.split_on_char ',' s with
-      | [ rtol ] -> (
-          match positive rtol with
-          | Some r -> Some { Fluid.Rk45.default_tolerances with Fluid.Rk45.rtol = r }
-          | None -> fail "invalid fluid tolerances %s" s)
-      | [ rtol; atol ] -> (
-          match (positive rtol, positive atol) with
-          | Some r, Some a -> Some { Fluid.Rk45.rtol = r; atol = a }
-          | _ -> fail "invalid fluid tolerances %s" s)
-      | _ -> fail "invalid fluid tolerances %s" s)
+  | "off" -> Ok None
+  | s -> Result.map Option.some (tolerances_of_string s)
 
 let kind_to_string = function Pepa -> "pepa" | Net -> "net"
 
@@ -159,29 +191,36 @@ let options_to_json o =
       ("restart", Str (match o.restart with `Cycle -> "cycle" | `Absorb -> "absorb"));
     ]
 
+(* A string option field decoded by its one parser; [absent] stands
+   for a missing or null field. *)
+let parsed_field name parse ~absent o =
+  match member name o with
+  | None | Some Null -> absent
+  | Some (Str s) -> ( match parse s with Ok v -> v | Error msg -> fail "%s" msg)
+  | Some _ -> fail "field %s is not a string" name
+
+(* A count field holds a non-negative integer.  Fractions, negatives
+   and magnitudes beyond 2^53 (where doubles stop representing every
+   integer and [int_of_float] can wrap to a negative int) are rejected
+   rather than converted. *)
+let count_field name v =
+  if Float.is_integer v && v >= 0.0 && v <= 0x1p53 then int_of_float v
+  else fail "field %s is not an integer in [0, 2^53]" name
+
 let options_of_json json =
   match member "options" json with
   | None | Some Null -> default_options
   | Some o ->
-      let aggregate =
-        match member "aggregate" o with
-        | None -> Markov.Lump.No_agg
-        | Some (Str s) -> (
-            match Markov.Lump.mode_of_string s with
-            | Some m -> m
-            | None -> fail "unknown aggregation mode %s" s)
-        | Some _ -> fail "field aggregate is not a string"
-      in
       let jobs =
         match member "jobs" o with
         | None -> 1
-        | Some (Num v) when v >= 0.0 -> int_of_float v
-        | Some _ -> fail "field jobs is not a non-negative number"
+        | Some (Num v) -> count_field "jobs" v
+        | Some _ -> fail "field jobs is not a number"
       in
       let max_states =
         match member "max_states" o with
         | None | Some Null -> None
-        | Some (Num v) -> Some (int_of_float v)
+        | Some (Num v) -> Some (count_field "max_states" v)
         | Some _ -> fail "field max_states is not a number"
       in
       let restart =
@@ -192,17 +231,9 @@ let options_of_json json =
         | Some _ -> fail "field restart is not a string"
       in
       {
-        method_ =
-          (match member "method" o with
-          | None -> None
-          | Some (Str s) -> method_of_string s
-          | Some _ -> fail "field method is not a string");
-        aggregate;
-        fluid =
-          (match member "fluid" o with
-          | None | Some Null -> None
-          | Some (Str s) -> fluid_of_string s
-          | Some _ -> fail "field fluid is not a string");
+        method_ = parsed_field "method" method_of_string ~absent:None o;
+        aggregate = parsed_field "aggregate" aggregate_of_string ~absent:Markov.Lump.No_agg o;
+        fluid = parsed_field "fluid" fluid_of_string ~absent:None o;
         jobs;
         max_states;
         restart;

@@ -13,7 +13,8 @@ type options = {
   aggregate : Markov.Lump.mode;
   fluid : Fluid.Rk45.tolerances option;  (** [Some _] switches the solve verbs
                                              to the ODE approximation *)
-  jobs : int;  (** as the CLI [--jobs]: 1 sequential, 0 auto-detect *)
+  jobs : int;  (** as the CLI [--jobs]: 1 sequential, 0 auto-detect; the
+                  daemon caps it at its own [--jobs] *)
   max_states : int option;
   restart : [ `Cycle | `Absorb ];  (** pipeline/reflect extraction policy *)
 }
@@ -75,16 +76,30 @@ type response =
 
 exception Protocol_error of string
 (** Raised by the decoders on JSON that is well-formed but not a valid
-    request/response (unknown verb, missing field, bad option value). *)
+    request/response (unknown verb, missing field, bad option value,
+    a [jobs] or [max_states] that is not an integer in [[0, 2^53]]). *)
+
+(** {1 Option values}
+
+    The one parser and printer of each option value, shared by the
+    CLIs' converters and {!request_of_json}.  Parsers return the
+    CLI's error message, valid choices included; every printer's
+    output parses back to the same value. *)
 
 val method_to_string : Markov.Steady.method_ option -> string
-val method_of_string : string -> Markov.Steady.method_ option
-(** ["auto"], ["direct"], ["jacobi"], ["gauss-seidel"]/["gs"],
-    ["sor"]/["sor:OMEGA"], ["power"], ["bicgstab"] — the CLI [--method]
-    grammar.  Raises {!Protocol_error} on anything else. *)
+val method_of_string : string -> (Markov.Steady.method_ option, string) result
+(** ["auto"], ["direct"], ["gauss-seidel"]/["gs"], ["sor"]/["sor:OMEGA"],
+    ["power"], ["bicgstab"] — the [--method] grammar. *)
+
+val aggregate_of_string : string -> (Markov.Lump.mode, string) result
+(** The [--aggregate] grammar; {!Markov.Lump.mode_to_string} prints. *)
+
+val tolerances_to_string : Fluid.Rk45.tolerances -> string
+val tolerances_of_string : string -> (Fluid.Rk45.tolerances, string) result
+(** ["RTOL"] or ["RTOL,ATOL"], both positive — the [--fluid] grammar. *)
 
 val fluid_to_string : Fluid.Rk45.tolerances option -> string
-(** ["off"] or ["RTOL,ATOL"] — the normalised form used in cache keys
+(** ["off"] or ["RTOL,ATOL"] — the wire form, also used in cache keys
     and ledger records. *)
 
 val kind_to_string : model_kind -> string

@@ -146,15 +146,6 @@ let initiate_stop t =
   Condition.broadcast t.exec_cond;
   Mutex.unlock t.exec_lock
 
-let effective_jobs = function
-  | Protocol.Solve { options; _ }
-  | Protocol.Pipeline { options; _ }
-  | Protocol.Query { options; _ }
-  | Protocol.Reflect { options; _ }
-  | Protocol.Sweep { options; _ } ->
-      Par.resolve options.Protocol.jobs
-  | Protocol.Stats | Protocol.Shutdown -> 1
-
 let emit_ledger t (outcome : Engine.outcome) before =
   match t.config.ledger with
   | None -> ()
@@ -179,7 +170,7 @@ let process t payload =
   | request ->
       let before = Obs.Metrics.snapshot () in
       let outcome =
-        if effective_jobs request > 1 && not (Atomic.get t.stop) then
+        if Engine.effective_jobs request > 1 && not (Atomic.get t.stop) then
           submit_to_main t (fun () -> Engine.handle t.engine request)
         else Engine.handle t.engine request
       in

@@ -9,11 +9,12 @@
     [GET /metrics] with [curl --unix-socket]).
 
     Concurrency model: [workers] domains accept and serve connections;
-    a request whose effective job count is 1 (the default) runs
-    entirely on its worker, so distinct models solve in parallel.
-    [Par] pools are coordinator-only, so a request asking for [jobs >
-    1] is shipped to the main domain — the one that called {!run} and
-    owns the pools — and such requests serialise among themselves
+    a request whose effective job count ({!Engine.effective_jobs}: its
+    [jobs] capped at the daemon's own [--jobs]) is 1 — the default —
+    runs entirely on its worker, so distinct models solve in parallel.
+    [Par] pools are coordinator-only, so a request running at a count
+    above 1 is shipped to the main domain — the one that called {!run}
+    and owns the pools — and such requests serialise among themselves
     while jobs=1 traffic keeps flowing on the workers. *)
 
 type config = {

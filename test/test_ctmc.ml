@@ -57,7 +57,7 @@ let test_ctmc_construction () =
   | [ (1, p) ] -> Alcotest.check close "jump probability" 1.0 p
   | _ -> Alcotest.fail "unexpected jump distribution"
 
-let all_methods = [ St.Direct; St.Jacobi; St.Gauss_seidel; St.Power ]
+let all_methods = [ St.Direct; St.Gauss_seidel; St.Power ]
 
 let test_two_state_closed_form () =
   let lambda = 2.0 and mu = 3.0 in
@@ -105,7 +105,7 @@ let test_residual () =
   Alcotest.(check bool) "residual small" true (St.residual c pi < 1e-10);
   Alcotest.(check bool) "bad vector has residual" true (St.residual c [| 1.0; 0.0 |] > 0.1)
 
-(* Random irreducible birth-death chains: all four methods agree. *)
+(* Random irreducible birth-death chains: all three methods agree. *)
 let prop_solver_agreement =
   let open QCheck2 in
   let gen =
@@ -123,7 +123,43 @@ let prop_solver_agreement =
         (fun method_ ->
           let pi = St.solve ~method_ c in
           Markov.Measures.distribution_distance reference pi < 1e-6)
-        [ St.Jacobi; St.Gauss_seidel; St.Power ])
+        [ St.Gauss_seidel; St.Power ])
+
+(* Solver stats are per domain: a daemon's workers solve different
+   models at once, and each must read back its own solve's stats.  The
+   handshake orders the solves so a process-wide record would hand the
+   first domain the second domain's stats. *)
+let test_last_stats_per_domain () =
+  let first_solved = Atomic.make false and second_solved = Atomic.make false in
+  let rec wait flag = if not (Atomic.get flag) then (Domain.cpu_relax (); wait flag) in
+  let solve_then_read ~method_ ~chain ~before ~after =
+    Domain.spawn (fun () ->
+        Option.iter wait before;
+        let _, stats = St.solve_stats ~method_ chain in
+        Atomic.set after true;
+        wait (if before = None then second_solved else first_solved);
+        (stats, St.last_stats ()))
+  in
+  let first =
+    solve_then_read ~method_:St.Gauss_seidel ~chain:(two_state 2.0 3.0) ~before:None
+      ~after:first_solved
+  in
+  let second =
+    solve_then_read ~method_:St.Power
+      ~chain:(C.of_transitions ~n:3 [ (0, 1, 1.0); (1, 2, 2.0); (2, 0, 3.0) ])
+      ~before:(Some first_solved) ~after:second_solved
+  in
+  List.iter
+    (fun (name, domain) ->
+      let solved, read_back = Domain.join domain in
+      match read_back with
+      | Some stats ->
+          Alcotest.(check string) (name ^ ": own method") (St.method_name solved.St.method_used)
+            (St.method_name stats.St.method_used);
+          Alcotest.(check int) (name ^ ": own iterations") solved.St.iterations
+            stats.St.iterations
+      | None -> Alcotest.failf "%s: no stats recorded on its domain" name)
+    [ ("gauss-seidel domain", first); ("power domain", second) ]
 
 let suite =
   [
@@ -135,4 +171,5 @@ let suite =
     Alcotest.test_case "solver guards" `Quick test_solver_guards;
     Alcotest.test_case "residual" `Quick test_residual;
     QCheck_alcotest.to_alcotest prop_solver_agreement;
+    Alcotest.test_case "solver stats are per domain" `Quick test_last_stats_per_domain;
   ]

@@ -1,5 +1,5 @@
 (* The Krylov engine: BiCGStab agreement with the stationary methods
-   on the example scenarios (plain, aggregated and on the domain pool),
+   on the example scenarios (plain, aggregated, and at any --jobs),
    random irreducible chains against the direct solver, the
    non-convergence and fallback contracts, the CLI method converter,
    and the packed state-key codec behind the compressed builders. *)
@@ -73,9 +73,9 @@ let test_agrees_under_aggregation () =
     (Pepa.Statespace.throughputs reduced pi_reduced)
 
 let test_jobs_determinism () =
-  (* 12 replicas give 8192 states — above the pool threshold, so the
-     jobs=4 solve really runs on the pool; the fixed reduction grid
-     makes it bitwise identical to the sequential result. *)
+  (* 12 replicas give 8192 states, above the power method's pool
+     threshold: BiCGStab itself never uses the pool, so a jobs=4 solve
+     must be bitwise identical to the sequential one. *)
   let chain = Pepa.Statespace.ctmc (Pepa.Statespace.of_string (replicated_model 12)) in
   let pi_seq, stats_seq = St.solve_stats ~method_:St.Bicgstab ~jobs:1 chain in
   let pi_par, stats_par = St.solve_stats ~method_:St.Bicgstab ~jobs:4 chain in

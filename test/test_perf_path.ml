@@ -53,7 +53,7 @@ let test_of_arrays_explicit () =
   (* Unsorted input with duplicate coordinates summed. *)
   let triplets = [ (2, 1, 1.0); (0, 2, 3.0); (2, 1, 0.5); (0, 0, -1.0); (1, 2, 2.0) ] in
   let rows, cols, values = arrays_of_triplets triplets in
-  let m = Sp.of_arrays ~n_rows:3 ~n_cols:3 ~rows ~cols ~values in
+  let m = Sp.of_arrays ~drop_diagonal:false ~n_rows:3 ~n_cols:3 ~rows ~cols ~values in
   check_matrix "unsorted+duplicates" (reference_dense ~n_rows:3 ~n_cols:3 triplets) m;
   Alcotest.(check int) "duplicates merged" 4 (Sp.nnz m);
   (* The input arrays are not modified. *)
@@ -62,14 +62,22 @@ let test_of_arrays_explicit () =
   Alcotest.(check bool) "cols untouched" true (cols = cols');
   Alcotest.(check bool) "values untouched" true (values = values');
   (* Empty matrix. *)
-  let empty = Sp.of_arrays ~n_rows:4 ~n_cols:2 ~rows:[||] ~cols:[||] ~values:[||] in
+  let empty =
+    Sp.of_arrays ~drop_diagonal:false ~n_rows:4 ~n_cols:2 ~rows:[||] ~cols:[||] ~values:[||]
+  in
   Alcotest.(check int) "empty nnz" 0 (Sp.nnz empty);
   Alcotest.check close "empty get" 0.0 (Sp.get empty 3 1);
   (* Out-of-range and mismatched lengths are rejected. *)
-  (match Sp.of_arrays ~n_rows:2 ~n_cols:2 ~rows:[| 2 |] ~cols:[| 0 |] ~values:[| 1.0 |] with
+  (match
+     Sp.of_arrays ~drop_diagonal:false ~n_rows:2 ~n_cols:2 ~rows:[| 2 |] ~cols:[| 0 |]
+       ~values:[| 1.0 |]
+   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "out-of-range row accepted");
-  match Sp.of_arrays ~n_rows:2 ~n_cols:2 ~rows:[| 0 |] ~cols:[||] ~values:[| 1.0 |] with
+  match
+    Sp.of_arrays ~drop_diagonal:false ~n_rows:2 ~n_cols:2 ~rows:[| 0 |] ~cols:[||]
+      ~values:[| 1.0 |]
+  with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "mismatched lengths accepted"
 
@@ -84,7 +92,7 @@ let prop_of_arrays_matches_reference =
   QCheck2.Test.make ~name:"array CSR assembly matches list-based reference" ~count:200
     triplet_gen (fun (n_rows, n_cols, triplets) ->
       let rows, cols, values = arrays_of_triplets triplets in
-      let m = Sp.of_arrays ~n_rows ~n_cols ~rows ~cols ~values in
+      let m = Sp.of_arrays ~drop_diagonal:false ~n_rows ~n_cols ~rows ~cols ~values in
       let expected = reference_dense ~n_rows ~n_cols triplets in
       let actual = Sp.to_dense m in
       let ok = ref true in
@@ -109,6 +117,97 @@ let prop_transpose_round_trip =
       && mtt.Sp.row_ptr = m.Sp.row_ptr
       && mtt.Sp.col_index = m.Sp.col_index
       && mtt.Sp.values = m.Sp.values)
+
+(* Every CSR assembly route goes through one per-row sort and merge.
+   The reference: stable-sort the entries by (row, col) and sum each
+   run of equal coordinates left to right — for a CTMC after dropping
+   self-loops, with the generator diagonal the left-to-right sum of
+   each row's rates.  All four routes must match it bit for bit. *)
+let reference_csr ~n_rows triplets =
+  let sorted =
+    List.stable_sort (fun (i, j, _) (i', j', _) -> compare (i, j) (i', j')) triplets
+  in
+  let merged =
+    List.fold_left
+      (fun acc (i, j, v) ->
+        match acc with
+        | (i', j', w) :: rest when i = i' && j = j' -> (i, j, w +. v) :: rest
+        | _ -> (i, j, v) :: acc)
+      [] sorted
+    |> List.rev
+  in
+  Array.init n_rows (fun i ->
+      List.filter_map (fun (i', j, v) -> if i' = i then Some (j, v) else None) merged)
+
+let csr_rows m =
+  Array.init m.Sp.n_rows (fun i ->
+      List.init (m.Sp.row_ptr.(i + 1) - m.Sp.row_ptr.(i)) (fun k ->
+          let k = m.Sp.row_ptr.(i) + k in
+          (m.Sp.col_index.(k), m.Sp.values.(k))))
+
+let bitwise_rows a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (List.equal (fun (j, v) (j', v') ->
+            j = j' && Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float v')))
+       a b
+
+(* The entries grouped by row in input order: what a state-space
+   builder streams into [of_grouped]. *)
+let grouped ~n_rows triplets =
+  let by_row = List.stable_sort (fun (i, _, _) (i', _, _) -> compare i i') triplets in
+  let row_start = Array.make (n_rows + 1) 0 in
+  List.iter (fun (i, _, _) -> row_start.(i + 1) <- row_start.(i + 1) + 1) by_row;
+  for i = 1 to n_rows do
+    row_start.(i) <- row_start.(i) + row_start.(i - 1)
+  done;
+  let _, cols, values = arrays_of_triplets by_row in
+  (row_start, cols, values)
+
+let generator_reference ~n triplets =
+  reference_csr ~n_rows:n (List.filter (fun (i, j, _) -> i <> j) triplets)
+  |> Array.mapi (fun i row ->
+         (* An absorbing state's zero diagonal is not stored. *)
+         let exit = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 row in
+         if exit = 0.0 then row
+         else List.stable_sort (fun (j, _) (j', _) -> compare j j') ((i, -.exit) :: row))
+
+let prop_assembly_routes_bitwise =
+  let gen =
+    let open QCheck2.Gen in
+    1 -- 8 >>= fun n ->
+    list_size (0 -- 40) (triple (0 -- (n - 1)) (0 -- (n - 1)) (float_range 0.01 10.0))
+    >|= fun triplets -> (n, triplets)
+  in
+  QCheck2.Test.make ~name:"CSR assembly routes agree bitwise with a stable-sort reference"
+    ~count:300 gen (fun (n, triplets) ->
+      let rows, cols, values = arrays_of_triplets triplets in
+      let row_start, g_cols, g_values = grouped ~n_rows:n triplets in
+      let sparse_routes =
+        [
+          Sp.of_arrays ~drop_diagonal:false ~n_rows:n ~n_cols:n ~rows ~cols ~values;
+          Sp.of_grouped ~drop_diagonal:false ~n_rows:n ~n_cols:n ~row_start
+            ~col:(Array.get g_cols) ~value:(Array.get g_values);
+          Sp.of_triplets ~n_rows:n ~n_cols:n triplets;
+        ]
+      in
+      let ctmc_routes =
+        [
+          Markov.Ctmc.of_arrays ~n ~src:rows ~dst:cols ~rate:values;
+          Markov.Ctmc.of_grouped ~n ~row_start ~dst:(Array.get g_cols)
+            ~rate:(Array.get g_values);
+          Markov.Ctmc.of_transitions ~n triplets;
+        ]
+      in
+      let expected = reference_csr ~n_rows:n triplets in
+      let expected_generator = generator_reference ~n triplets in
+      List.for_all (fun m -> bitwise_rows expected (csr_rows m)) sparse_routes
+      && List.for_all
+           (fun c ->
+             bitwise_rows expected_generator (csr_rows (Markov.Ctmc.generator c))
+             && bitwise_rows expected_generator
+                  (csr_rows (Sp.transpose (Markov.Ctmc.generator_transposed c))))
+           ctmc_routes)
 
 (* ------------------------------------------------------------------ *)
 (* Solver iteration semantics                                          *)
@@ -199,7 +298,7 @@ let test_methods_agree_on_scenarios () =
             true (distance < 1e-9))
         (* Under-relaxed SOR: over-relaxation can diverge on strongly
            cyclic chains (it does on the instant-message ring). *)
-        [ St.Jacobi; St.Gauss_seidel; St.Sor 0.9; St.Power ])
+        [ St.Gauss_seidel; St.Sor 0.9; St.Power ])
     (scenario_chains ())
 
 (* ------------------------------------------------------------------ *)
@@ -252,6 +351,7 @@ let suite =
     Alcotest.test_case "array CSR assembly" `Quick test_of_arrays_explicit;
     QCheck_alcotest.to_alcotest prop_of_arrays_matches_reference;
     QCheck_alcotest.to_alcotest prop_transpose_round_trip;
+    QCheck_alcotest.to_alcotest prop_assembly_routes_bitwise;
     Alcotest.test_case "exact iteration count under stride" `Quick test_exact_iteration_count;
     Alcotest.test_case "decisive first residual check" `Quick test_first_check_decisive;
     Alcotest.test_case "SOR" `Quick test_sor;

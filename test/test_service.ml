@@ -170,10 +170,93 @@ let test_protocol_rejects () =
         (Service.Protocol.request_of_json
            (Obs.Json.Obj [ ("verb", Obs.Json.Str "frobnicate") ])));
   (match Service.Protocol.method_of_string "sor:2.5" with
-  | exception Service.Protocol.Protocol_error _ -> ()
-  | _ -> Alcotest.fail "sor:2.5 accepted");
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "sor:2.5 accepted");
   Alcotest.(check bool) "sor omega parses" true
-    (Service.Protocol.method_of_string "sor:0.8" = Some (Markov.Steady.Sor 0.8))
+    (Service.Protocol.method_of_string "sor:0.8" = Ok (Some (Markov.Steady.Sor 0.8)));
+  (* Counts must be integers a double holds exactly: 2^62 would wrap
+     to a negative job count on conversion. *)
+  let with_options fields =
+    Obs.Json.Obj
+      [
+        ("verb", Obs.Json.Str "solve");
+        ("kind", Obs.Json.Str "pepa");
+        ("name", Obs.Json.Str "m.pepa");
+        ("source", Obs.Json.Str "P = (a, 1.0).P;\nsystem P;");
+        ("options", Obs.Json.Obj fields);
+      ]
+  in
+  List.iter
+    (fun (field, v) ->
+      match Service.Protocol.request_of_json (with_options [ (field, Obs.Json.Num v) ]) with
+      | exception Service.Protocol.Protocol_error msg ->
+          Alcotest.(check bool) (Printf.sprintf "%s=%g names the field" field v) true
+            (has_infix field msg)
+      | _ -> Alcotest.failf "%s = %g accepted" field v)
+    [
+      ("jobs", 4.611686018427388e18);
+      ("jobs", -1.0);
+      ("jobs", 1.5);
+      ("max_states", 1e300);
+      ("max_states", -5.0);
+      ("max_states", 0.5);
+    ];
+  (* Bad option values get the CLI's message, valid choices included. *)
+  List.iter
+    (fun (field, value) ->
+      match
+        Service.Protocol.request_of_json (with_options [ (field, Obs.Json.Str value) ])
+      with
+      | exception Service.Protocol.Protocol_error msg ->
+          Alcotest.(check bool) (field ^ " rejection lists the valid values") true
+            (has_infix "(valid: " msg)
+      | _ -> Alcotest.failf "%s = %s accepted" field value)
+    [ ("method", "jacobi"); ("aggregate", "most"); ("fluid", "banana") ]
+
+(* One printer per option value, and each printer's output parses back
+   to the value printed — on the wire and through the CLI converters. *)
+let test_option_values_round_trip () =
+  let methods =
+    [
+      None;
+      Some Markov.Steady.Direct;
+      Some Markov.Steady.Gauss_seidel;
+      Some (Markov.Steady.Sor 1.5);
+      Some (Markov.Steady.Sor 1.23456789);
+      Some Markov.Steady.Power;
+      Some Markov.Steady.Bicgstab;
+    ]
+  in
+  let cli_print conv v = Format.asprintf "%a" (Cmdliner.Arg.conv_printer conv) v in
+  let cli_parse conv s =
+    match Cmdliner.Arg.conv_parser conv s with
+    | Ok v -> v
+    | Error (`Msg m) -> Alcotest.failf "%s rejected: %s" s m
+  in
+  List.iter
+    (fun m ->
+      let printed = Service.Protocol.method_to_string m in
+      Alcotest.(check bool) (printed ^ " parses back") true
+        (Service.Protocol.method_of_string printed = Ok m);
+      Alcotest.(check string) (printed ^ ": CLI prints the same") printed
+        (cli_print Cli_support.method_conv m);
+      Alcotest.(check bool) (printed ^ ": CLI parses back") true
+        (cli_parse Cli_support.method_conv printed = m))
+    methods;
+  Alcotest.(check string) "sor keeps its relaxation" "sor:1.5"
+    (Service.Protocol.method_to_string (Some (Markov.Steady.Sor 1.5)));
+  List.iter
+    (fun t ->
+      let printed = cli_print Cli_support.fluid_conv t in
+      Alcotest.(check bool) (printed ^ " parses back") true
+        (cli_parse Cli_support.fluid_conv printed = t);
+      Alcotest.(check string) "wire form" printed (Service.Protocol.fluid_to_string (Some t)))
+    [ Fluid.Rk45.default_tolerances; { Fluid.Rk45.rtol = 1.234567891e-7; atol = 3e-13 } ];
+  List.iter
+    (fun mode ->
+      Alcotest.(check bool) "aggregate parses back" true
+        (cli_parse Cli_support.aggregate_conv (cli_print Cli_support.aggregate_conv mode) = mode))
+    [ Markov.Lump.No_agg; Markov.Lump.Symmetry; Markov.Lump.Lumping; Markov.Lump.Both ]
 
 (* ------------------------------------------------------------------ *)
 (* LRU cache                                                           *)
@@ -293,6 +376,35 @@ let test_engine_error_contract () =
       Alcotest.(check string) "CLI stderr bytes" expected message
   | Service.Protocol.Ok_response _ -> Alcotest.fail "expected an error response"
 
+(* A request's job count is capped at the daemon's own --jobs (this
+   process's [Par.jobs ()]): asking for 64 domains must not build a
+   64-domain pool. *)
+let test_engine_caps_request_jobs () =
+  let engine = Service.Engine.create () in
+  Par.set_jobs 2;
+  Fun.protect
+    ~finally:(fun () -> Par.set_jobs 1)
+    (fun () ->
+      List.iter
+        (fun (asked, runs) ->
+          let request =
+            solve_request
+              ~options:{ default with Service.Protocol.jobs = asked }
+              ~name:"mm1k.pepa" (mm1k ())
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "jobs %d runs at %d" asked runs)
+            runs
+            (Service.Engine.effective_jobs request);
+          let outcome = Service.Engine.handle engine request in
+          Alcotest.(check (option string))
+            (Printf.sprintf "jobs %d recorded as %d" asked runs)
+            (Some (string_of_int runs))
+            (List.assoc_opt "jobs" outcome.Service.Engine.option_pairs))
+        [ (64, 2); (2, 2); (1, 1); (0, min 2 (Par.resolve 0)) ];
+      Alcotest.(check int) "stats and shutdown are sequential" 1
+        (Service.Engine.effective_jobs Service.Protocol.Stats))
+
 (* ------------------------------------------------------------------ *)
 (* Ingest                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -360,6 +472,23 @@ let test_sweep_axis_validation () =
 (* Live daemon over a Unix socket                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* One framed exchange on a fresh connection, with a receive timeout
+   so a daemon that stopped answering fails the test instead of hanging
+   it. *)
+let raw_exchange socket payload =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      Service.Frame.write fd payload;
+      match Service.Frame.read fd with
+      | Some reply -> Service.Protocol.response_of_json (Obs.Json.of_string reply)
+      | None -> Alcotest.fail "daemon closed the connection without answering"
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Alcotest.fail "daemon did not answer within 10 s")
+
 let with_server ?(workers = 2) f =
   let socket_path = Filename.temp_file "choreographerd" ".sock" in
   let ledger = Filename.temp_file "choreographerd" ".jsonl" in
@@ -373,26 +502,36 @@ let with_server ?(workers = 2) f =
       ledger = Some ledger;
     }
   in
-  let ready = Atomic.make false in
+  let ready = Atomic.make false and stopped = Atomic.make false in
   let server =
     Domain.spawn (fun () ->
-        Service.Server.run ~on_ready:(fun () -> Atomic.set ready true) config)
+        Fun.protect
+          ~finally:(fun () -> Atomic.set stopped true)
+          (fun () -> Service.Server.run ~on_ready:(fun () -> Atomic.set ready true) config))
   in
   let deadline = Unix.gettimeofday () +. 10.0 in
   while (not (Atomic.get ready)) && Unix.gettimeofday () < deadline do
     Unix.sleepf 0.005
   done;
   if not (Atomic.get ready) then Alcotest.fail "server did not come up";
-  Fun.protect
-    ~finally:(fun () ->
-      (try
-         let conn = Service.Client.connect ~socket:socket_path () in
-         ignore (Service.Client.request conn Service.Protocol.Shutdown);
-         Service.Client.close conn
-       with Service.Client.Connection_error _ -> ());
-      Domain.join server;
-      if Sys.file_exists ledger then Sys.remove ledger)
-    (fun () -> f ~socket:socket_path ~ledger)
+  (* Shutdown must end the daemon: a worker lost to an escaped
+     exception would leave it waiting for that worker forever. *)
+  let stop () =
+    (try
+       ignore
+         (raw_exchange socket_path
+            (Obs.Json.to_string (Service.Protocol.request_to_json Service.Protocol.Shutdown)))
+     with _ -> ());
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.01
+    done;
+    if Atomic.get stopped then Domain.join server;
+    if Sys.file_exists ledger then Sys.remove ledger
+  in
+  let result = Fun.protect ~finally:stop (fun () -> f ~socket:socket_path ~ledger) in
+  if not (Atomic.get stopped) then Alcotest.fail "daemon still running 10 s after shutdown";
+  result
 
 let request_over socket request =
   let conn = Service.Client.connect ~socket () in
@@ -568,6 +707,80 @@ let test_daemon_sweep_and_shutdown () =
       in
       gone ())
 
+(* A solve of mm1k.pepa as a hand-written frame, for option values the
+   typed request cannot express. *)
+let raw_solve_frame ~options =
+  Printf.sprintf {|{"verb":"solve","kind":"pepa","name":"mm1k.pepa","source":%s,"options":%s}|}
+    (Obs.Json.to_string (Obs.Json.Str (mm1k ())))
+    options
+
+(* A job count of 2^62 wraps to a negative int under [int_of_float];
+   decoding must reject it as an invalid request, and the worker that
+   read the frame must go on serving.  With one worker, a lost worker
+   would leave the next request unanswered. *)
+let test_daemon_survives_out_of_range_jobs () =
+  with_server ~workers:1 (fun ~socket ~ledger:_ ->
+      let frame = raw_solve_frame ~options:{|{"jobs":4.611686018427388e18}|} in
+      (match raw_exchange socket frame with
+      | Service.Protocol.Error_response { code; message } ->
+          Alcotest.(check int) "invalid request code" 1 code;
+          Alcotest.(check bool) "names the field" true (has_infix "jobs" message)
+      | Service.Protocol.Ok_response _ -> Alcotest.fail "out-of-range jobs accepted");
+      let next =
+        Obs.Json.to_string
+          (Service.Protocol.request_to_json (solve_request ~name:"mm1k.pepa" (mm1k ())))
+      in
+      match raw_exchange socket next with
+      | Service.Protocol.Ok_response { output; _ } ->
+          Alcotest.(check bool) "next request answered" true (output <> "")
+      | Service.Protocol.Error_response { message; _ } -> Alcotest.fail message)
+
+(* Jacobi is gone: both CLIs reject it as an invalid option value (exit
+   2, valid choices listed) and the daemon as an invalid request (code
+   1, same list). *)
+let run_cli exe args =
+  let err = Filename.temp_file "cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let code =
+        Sys.command (Filename.quote_command exe ~stdout:Filename.null ~stderr:err args)
+      in
+      (* cmdliner wraps its messages: compare with whitespace squashed. *)
+      let text = String.map (function '\n' -> ' ' | c -> c) (read_file err) in
+      let words = String.split_on_char ' ' text in
+      (code, String.concat " " (List.filter (( <> ) "") words)))
+
+let test_jacobi_rejected_everywhere () =
+  let exe name =
+    match
+      List.find_opt Sys.file_exists
+        [ Filename.concat "../bin" name; Filename.concat "bin" name ]
+    with
+    | Some path -> path
+    | None -> Alcotest.failf "executable %s not found" name
+  in
+  List.iter
+    (fun (cli, args) ->
+      let code, stderr = run_cli (exe cli) args in
+      Alcotest.(check int) (cli ^ " exits 2") 2 code;
+      Alcotest.(check bool) (cli ^ " lists the valid methods") true
+        (has_infix "valid: auto, direct, gauss-seidel, sor[:omega], power, bicgstab" stderr))
+    [
+      ("workbench_main.exe", [ "solve"; asset "mm1k.pepa"; "--method"; "jacobi" ]);
+      ( "choreographer_main.exe",
+        [
+          "pipeline"; "--input"; asset "pda.uml"; "--output"; Filename.null; "--method";
+          "jacobi";
+        ] );
+    ];
+  with_server (fun ~socket ~ledger:_ ->
+      match raw_exchange socket (raw_solve_frame ~options:{|{"method":"jacobi"}|}) with
+      | Service.Protocol.Error_response { code; message } ->
+          Alcotest.(check int) "invalid request code" 1 code;
+          Alcotest.(check bool) "lists the valid methods" true (has_infix "(valid: " message)
+      | Service.Protocol.Ok_response _ -> Alcotest.fail "jacobi accepted by the daemon")
+
 let suite =
   [
     Alcotest.test_case "frame round trip" `Quick test_frame_roundtrip;
@@ -576,11 +789,13 @@ let suite =
     Alcotest.test_case "frame oversized and HTTP sniff" `Quick test_frame_oversized;
     Alcotest.test_case "protocol round trip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "protocol rejects" `Quick test_protocol_rejects;
+    Alcotest.test_case "option values round-trip" `Quick test_option_values_round_trip;
     Alcotest.test_case "cache LRU" `Quick test_cache_lru;
     Alcotest.test_case "engine stage cache" `Quick test_engine_stage_cache;
     Alcotest.test_case "engine solve = workbench" `Quick test_engine_solve_matches_workbench;
     Alcotest.test_case "engine query" `Quick test_engine_query;
     Alcotest.test_case "engine error contract" `Quick test_engine_error_contract;
+    Alcotest.test_case "engine caps request jobs" `Quick test_engine_caps_request_jobs;
     Alcotest.test_case "ingest" `Quick test_ingest;
     Alcotest.test_case "sweep warm = cold" `Quick test_sweep_warm_equals_cold;
     Alcotest.test_case "sweep axis validation" `Quick test_sweep_axis_validation;
@@ -589,4 +804,7 @@ let suite =
     Alcotest.test_case "daemon error codes" `Quick test_daemon_error_and_codes;
     Alcotest.test_case "daemon /metrics" `Quick test_daemon_http_metrics;
     Alcotest.test_case "daemon sweep and shutdown" `Quick test_daemon_sweep_and_shutdown;
+    Alcotest.test_case "daemon survives out-of-range jobs" `Quick
+      test_daemon_survives_out_of_range_jobs;
+    Alcotest.test_case "jacobi rejected by CLIs and daemon" `Quick test_jacobi_rejected_everywhere;
   ]
