@@ -77,8 +77,8 @@ type agg = {
 }
 
 (* The same exact (un-aggregated) pipeline rerun on a domain pool:
-   exploration and power sweeps are the two pooled stages, so the block
-   measures the end-to-end multicore story.  The solve method is pinned
+   power sweeps are the one pooled stage (the rebuild is sequential),
+   so the block measures the end-to-end multicore story.  The solve method is pinned
    to Power on both sides of the comparison — Gauss-Seidel (the auto
    choice) stays sequential by design — so [par_speedup] is a
    like-for-like jobs=N versus jobs=1 ratio and [par_divergence] only
@@ -167,8 +167,9 @@ let pepa_row n =
       (Pepa.Statespace.throughputs space_a pi_a)
   in
   max_divergence := Float.max !max_divergence divergence;
-  (* Parallel rerun of the exact pipeline, skipped below the small-instance
-     threshold. *)
+  (* Rerun of the exact pipeline with power sweeps on the 4-domain pool
+     (exploration and assembly are sequential at any job count),
+     skipped below the small-instance threshold. *)
   let par =
     if Pepa.Statespace.n_states space < par_skip_threshold then None
     else begin
@@ -184,7 +185,7 @@ let pepa_row n =
       Pepa.Statespace.release_derived space_a;
       let space_p, par_build_s =
         time ~attrs "bench.pepa.build_par" (fun _ ->
-            Pepa.Statespace.of_string ~jobs:par_jobs (replicated_model n))
+            Pepa.Statespace.of_string (replicated_model n))
       in
       let chain_p, par_assemble_s =
         time ~attrs "bench.pepa.assemble_par" (fun _ ->
@@ -284,8 +285,7 @@ let net_row k =
       (Pepanet.Net_measures.throughputs space_a pi_a)
   in
   max_divergence := Float.max !max_divergence divergence;
-  (* Parallel rerun of the exact pipeline, skipped below the small-instance
-     threshold. *)
+  (* Rerun with pooled power sweeps, as for the PEPA rows. *)
   let par =
     if Pepanet.Net_statespace.n_markings space < par_skip_threshold then None
     else begin
@@ -299,7 +299,7 @@ let net_row k =
       Pepanet.Net_statespace.release_derived space_a;
       let space_p, par_build_s =
         time ~attrs "bench.net.build_par" (fun _ ->
-            Pepanet.Net_statespace.build ~jobs:par_jobs compiled)
+            Pepanet.Net_statespace.build compiled)
       in
       let chain_p, par_assemble_s =
         time ~attrs "bench.net.assemble_par" (fun _ ->
@@ -371,8 +371,8 @@ let net_row k =
 (* Three stations of capacity c give (c+1)^3 states — a slowly-mixing
    chain where the stationary methods need thousands of sweeps, which
    is exactly the regime BiCGStab is for.  The family sweeps capacity
-   up to 99 (a million states), built with the packed-key parallel
-   explorer and solved exactly with (sequential) BiCGStab.  Up to
+   up to 99 (a million states), built with the packed-key explorer and
+   solved exactly with (sequential) BiCGStab.  Up to
    the capacity bound below, a sequential Gauss-Seidel solve of the
    same chain cross-checks the steady vector to 1e-10. *)
 
@@ -408,7 +408,7 @@ let tandem_row capacity =
   let source = Scenarios.Tandem.source ~stations:tandem_stations ~capacity in
   let space, build_s =
     time ~attrs "bench.tandem.build" (fun _ ->
-        Pepa.Statespace.of_string ~max_states:1_100_000 ~jobs:par_jobs source)
+        Pepa.Statespace.of_string ~max_states:1_100_000 source)
   in
   let chain, assemble_s =
     time ~attrs "bench.tandem.assemble" (fun _ ->
@@ -1195,11 +1195,11 @@ let () =
       net_scaling_time_budget_s;
     exit 1
   end;
-  (* Parallel determinism gates, always on: the domain-parallel
-     pipeline must reproduce the sequential state space exactly and the
-     steady vector to 1e-10 on every instance. *)
+  (* Parallel determinism gates, always on: the 4-domain rerun must
+     reproduce the sequential state space exactly and the steady vector
+     to 1e-10 on every instance. *)
   if !par_states_mismatch then begin
-    Printf.eprintf "error: parallel exploration produced a different state space\n%!";
+    Printf.eprintf "error: the 4-domain rerun produced a different state space\n%!";
     exit 1
   end;
   if !max_par_divergence > 1e-10 then begin

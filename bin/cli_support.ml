@@ -279,14 +279,14 @@ let setup_term ~jobs_doc =
 let telemetry_term =
   setup_term
     ~jobs_doc:
-      "Number of domains (OS threads) for the two stages that run on a domain pool: \
-       state-space exploration and the power method's sweeps (also when the power \
-       method is BiCGStab's breakdown fallback).  Every other stage runs sequentially \
-       at any job count.  $(b,1) (the default) keeps every stage sequential; $(b,0) \
-       auto-detects the machine's core count.  Results are deterministic at any job \
-       count: state numbering and transition order are identical to the sequential \
-       run, power-method probabilities agree with it to within the solver tolerance, \
-       and every other method's are bitwise identical."
+      "Number of domains (OS threads) for the one stage that runs on a domain pool: \
+       the power method's sweeps (also when the power method is BiCGStab's breakdown \
+       fallback).  Every other stage, state-space exploration included, runs \
+       sequentially at any job count.  $(b,1) (the default) keeps every stage \
+       sequential; $(b,0) auto-detects the machine's core count.  Results are \
+       deterministic at any job count: power-method probabilities agree with the \
+       sequential run to within the solver tolerance, and every other method's are \
+       bitwise identical."
 
 (* The daemon's --jobs bounds what requests may ask for rather than
    choosing a count itself. *)
@@ -296,9 +296,9 @@ let daemon_term =
       "The largest job count a request may use: a request asking for more domains \
        (or for $(b,0), auto-detect) runs with at most this many.  $(b,1), the default, \
        serves every request sequentially; $(b,0) allows the machine's core count.  \
-       The count reaches the same two pooled stages as the one-shot CLIs' \
-       $(b,--jobs): state-space exploration and power-method sweeps.  The \
-       $(b,stats) verb reports it as $(b,jobs_limit)."
+       The count reaches the same one pooled stage as the one-shot CLIs' \
+       $(b,--jobs): power-method sweeps.  The $(b,stats) verb reports it as \
+       $(b,jobs_limit)."
 
 (* ------------------------------------------------------------------ *)
 (* Solver diagnostics                                                  *)

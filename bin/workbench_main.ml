@@ -14,6 +14,26 @@ let net_arg =
 
 let method_arg = Cli_support.method_arg
 
+(* Every subcommand loads its model through the wrapped Workbench
+   stages, so a malformed model is reported as [error: NAME: ...] with
+   exit 1 by [handle_errors] below, never as an uncaught exception. *)
+module W = Choreographer.Workbench
+
+let load_pepa ?(symmetry = false) path =
+  let name = Filename.basename path in
+  let model = W.parse_pepa ~name (In_channel.with_open_bin path In_channel.input_all) in
+  let compiled, warnings = W.compile_pepa ~name model in
+  (W.pepa_space ~name ~symmetry compiled, warnings)
+
+let parse_net_file path =
+  let name = Filename.basename path in
+  (name, W.parse_net ~name (In_channel.with_open_bin path In_channel.input_all))
+
+let load_net ?(symmetry = false) path =
+  let name, net = parse_net_file path in
+  let compiled = W.compile_net ~name net in
+  (W.net_space ~name ~symmetry compiled, Pepanet.Net_compile.warnings compiled)
+
 let handle_errors f =
   try f () with
   | Choreographer.Workbench.Analysis_error msg ->
@@ -81,21 +101,18 @@ let statespace_cmd =
   let limit_arg =
     Arg.(value & opt int 200 & info [ "limit" ] ~docv:"N" ~doc:"Print at most N states.")
   in
-  let run jobs path net limit aggregate =
+  let run _jobs path net limit aggregate =
     let symmetry = Markov.Lump.symmetry_enabled aggregate in
     handle_errors (fun () ->
         if is_net_file path net then begin
-          let space = Pepanet.Net_statespace.of_file ~symmetry ~jobs path in
+          let space, _ = load_net ~symmetry path in
           Format.printf "%a@." Pepanet.Net_statespace.pp_summary space;
           for i = 0 to min (limit - 1) (Pepanet.Net_statespace.n_markings space - 1) do
             Printf.printf "M%-4d %s\n" i (Pepanet.Net_statespace.marking_label space i)
           done
         end
         else begin
-          let space =
-            Pepa.Statespace.of_string ~symmetry ~jobs
-              (In_channel.with_open_bin path In_channel.input_all)
-          in
+          let space, _ = load_pepa ~symmetry path in
           Format.printf "%a@." Pepa.Statespace.pp_summary space;
           for i = 0 to min (limit - 1) (Pepa.Statespace.n_states space - 1) do
             Printf.printf "S%-4d %s\n" i (Pepa.Statespace.state_label space i)
@@ -109,27 +126,20 @@ let statespace_cmd =
       $ Cli_support.aggregate_arg)
 
 let check_cmd =
-  (* Exploration picks the job count up from the process-wide default
-     set by the shared setup term. *)
   let run _jobs path net =
     handle_errors (fun () ->
         if is_net_file path net then begin
-          let compiled = Pepanet.Net_compile.of_file path in
-          let space = Pepanet.Net_statespace.build compiled in
+          let space, warnings = load_net path in
           Format.printf "%a@." Pepanet.Net_statespace.pp_summary space;
-          List.iter (Printf.printf "warning: %s\n") (Pepanet.Net_compile.warnings compiled);
+          List.iter (Printf.printf "warning: %s\n") warnings;
           List.iter
             (fun i -> Printf.printf "deadlock: %s\n" (Pepanet.Net_statespace.marking_label space i))
             (Pepanet.Net_statespace.deadlocks space)
         end
         else begin
-          let model =
-            Pepa.Parser.model_of_string (In_channel.with_open_bin path In_channel.input_all)
-          in
-          let env = Pepa.Env.of_model model in
-          let space = Pepa.Statespace.build (Pepa.Compile.compile env) in
+          let space, warnings = load_pepa path in
           Format.printf "%a@." Pepa.Analysis.pp_report space;
-          List.iter (Printf.printf "warning: %s\n") (Pepa.Env.warnings env);
+          List.iter (Printf.printf "warning: %s\n") warnings;
           List.iter
             (fun i -> Printf.printf "deadlock: %s\n" (Pepa.Statespace.state_label space i))
             (Pepa.Statespace.deadlocks space)
@@ -146,7 +156,7 @@ let transient_cmd =
   let run _jobs path net time =
     handle_errors (fun () ->
         if is_net_file path net then begin
-          let space = Pepanet.Net_statespace.of_file path in
+          let space, _ = load_net path in
           let pi = Pepanet.Net_statespace.transient space ~time in
           Array.iteri
             (fun i p ->
@@ -155,9 +165,7 @@ let transient_cmd =
             pi
         end
         else begin
-          let space =
-            Pepa.Statespace.of_string (In_channel.with_open_bin path In_channel.input_all)
-          in
+          let space, _ = load_pepa path in
           let pi = Pepa.Statespace.transient space ~time in
           Array.iteri
             (fun i p ->
@@ -182,7 +190,7 @@ let export_cmd =
     handle_errors (fun () ->
         let chain, label_groups =
           if is_net_file path net then begin
-            let space = Pepanet.Net_statespace.of_file path in
+            let space, _ = load_net path in
             let labels =
               List.init (Pepanet.Net_statespace.n_markings space) (fun i ->
                   (Pepanet.Net_statespace.marking_label space i, [ i ]))
@@ -190,9 +198,7 @@ let export_cmd =
             (Pepanet.Net_statespace.ctmc space, labels)
           end
           else begin
-            let space =
-              Pepa.Statespace.of_string (In_channel.with_open_bin path In_channel.input_all)
-            in
+            let space, _ = load_pepa path in
             let labels =
               List.init (Pepa.Statespace.n_states space) (fun i ->
                   (Pepa.Statespace.state_label space i, [ i ]))
@@ -236,7 +242,7 @@ let passage_cmd =
   let run _jobs path net times action =
     handle_errors (fun () ->
         if is_net_file path net then begin
-          let space = Pepanet.Net_statespace.of_file path in
+          let space, _ = load_net path in
           let labelled tr =
             match tr.Pepanet.Net_statespace.label with
             | Pepanet.Net_semantics.Local a -> Pepa.Action.name a = Some action
@@ -254,9 +260,7 @@ let passage_cmd =
           report (Pepanet.Net_statespace.ctmc space) sources targets times action
         end
         else begin
-          let space =
-            Pepa.Statespace.of_string (In_channel.with_open_bin path In_channel.input_all)
-          in
+          let space, _ = load_pepa path in
           let chain = Pepa.Statespace.ctmc space in
           let sources =
             Pepa.Analysis.states_enabling space action |> List.map (fun s -> (s, 1.0))
@@ -297,12 +301,10 @@ let graph_cmd =
         let dot =
           if is_net_file path net then begin
             match kind with
-            | `Structure -> Choreographer.Graphviz.net_structure (Pepanet.Net_parser.net_of_file path)
-            | `Statespace -> Choreographer.Graphviz.net_statespace (Pepanet.Net_statespace.of_file path)
+            | `Structure -> Choreographer.Graphviz.net_structure (snd (parse_net_file path))
+            | `Statespace -> Choreographer.Graphviz.net_statespace (fst (load_net path))
           end
-          else
-            Choreographer.Graphviz.pepa_statespace
-              (Pepa.Statespace.of_string (In_channel.with_open_bin path In_channel.input_all))
+          else Choreographer.Graphviz.pepa_statespace (fst (load_pepa path))
         in
         match output with
         | Some file ->

@@ -65,11 +65,12 @@ let compile_pepa ~name model =
 
 let compile_net ~name net = wrap name (fun () -> Pepanet.Net_compile.compile net)
 
-let pepa_space ~name ?max_states ?jobs ~symmetry compiled =
-  wrap name (fun () -> Pepa.Statespace.build ?max_states ?jobs ~symmetry compiled)
+(* [jobs] is accepted and ignored: exploration is sequential. *)
+let pepa_space ~name ?max_states ?jobs:_ ~symmetry compiled =
+  wrap name (fun () -> Pepa.Statespace.build ?max_states ~symmetry compiled)
 
-let net_space ~name ?max_markings ?jobs ~symmetry compiled =
-  wrap name (fun () -> Pepanet.Net_statespace.build ?max_markings ?jobs ~symmetry compiled)
+let net_space ~name ?max_markings ?jobs:_ ~symmetry compiled =
+  wrap name (fun () -> Pepanet.Net_statespace.build ?max_markings ~symmetry compiled)
 
 let solve_pepa ~name ?method_ ?jobs ~lump space =
   wrap name (fun () -> Pepa.Statespace.steady_state ?method_ ?jobs ~lump space)
@@ -145,8 +146,7 @@ let analyse_pepa ?(name = "model") ?method_ ?max_states ?(aggregate = Markov.Lum
     (fun _ ->
       let compiled, warnings = compile_pepa ~name model in
       let space =
-        pepa_space ~name ?max_states ?jobs
-          ~symmetry:(Markov.Lump.symmetry_enabled aggregate)
+        pepa_space ~name ?max_states ~symmetry:(Markov.Lump.symmetry_enabled aggregate)
           compiled
       in
       let distribution =
@@ -210,8 +210,7 @@ let analyse_net ?(name = "net") ?method_ ?max_markings ?(aggregate = Markov.Lump
     (fun _ ->
       let compiled = compile_net ~name net in
       let net_space =
-        net_space ~name ?max_markings ?jobs
-          ~symmetry:(Markov.Lump.symmetry_enabled aggregate)
+        net_space ~name ?max_markings ~symmetry:(Markov.Lump.symmetry_enabled aggregate)
           compiled
       in
       let net_distribution =

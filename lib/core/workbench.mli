@@ -62,11 +62,11 @@ val analyse_pepa :
     every local-state label, so nothing the disaggregated solution is
     read for depends on how mass is spread within a class.
 
-    [jobs] overrides the process-wide [Par.jobs] default for the build
-    and, when the power method runs, its sweeps — the two pooled
-    stages; results are deterministic and agree with a sequential run
-    (state numbering exactly, power-method probabilities to well under
-    1e-10, every other method's bitwise). *)
+    [jobs] overrides the process-wide [Par.jobs] default for the
+    power method's sweeps, the one pooled stage; every other stage runs
+    sequentially.  Results are deterministic and agree with a
+    sequential run (power-method probabilities to well under 1e-10,
+    every other method's bitwise). *)
 
 val analyse_pepa_string :
   ?name:string ->
@@ -182,13 +182,15 @@ val pepa_space :
   name:string -> ?max_states:int -> ?jobs:int -> symmetry:bool -> Pepa.Compile.t ->
   Pepa.Statespace.t
 (** The reachable state space; [symmetry] is
-    [Markov.Lump.symmetry_enabled aggregate].  Independent of [jobs]
-    (deterministic numbering), so a cache may serve a space built at
-    any job count. *)
+    [Markov.Lump.symmetry_enabled aggregate].  Exploration is
+    sequential, so [jobs] is accepted and ignored: a cache may serve a
+    space built for a request at any job count. *)
 
 val net_space :
   name:string -> ?max_markings:int -> ?jobs:int -> symmetry:bool -> Pepanet.Net_compile.t ->
   Pepanet.Net_statespace.t
+(** The reachable marking graph; [jobs] is accepted and ignored, as in
+    {!pepa_space}. *)
 
 val solve_pepa :
   name:string -> ?method_:Markov.Steady.method_ -> ?jobs:int -> lump:bool ->

@@ -91,6 +91,11 @@ let to_string ?(pretty = false) t =
 (* Parsing                                                           *)
 (* ---------------------------------------------------------------- *)
 
+(* The parser recurses once per array or object level, so nesting is
+   capped well below what any stack holds: a deep frame is a malformed
+   request, not a reason to lose the domain that read it. *)
+let max_depth = 512
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -174,7 +179,13 @@ let of_string s =
     | Some v -> Num v
     | None -> fail "malformed number %S at offset %d" text start
   in
-  let rec parse_value () =
+  (* Step past an opening bracket or brace found at [depth]. *)
+  let open_nested depth =
+    if depth >= max_depth then fail "nesting deeper than %d at offset %d" max_depth !pos;
+    advance ();
+    skip_ws ()
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -183,15 +194,14 @@ let of_string s =
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some '[' ->
-        advance ();
-        skip_ws ();
+        open_nested depth;
         if peek () = Some ']' then begin
           advance ();
           Arr []
         end
         else begin
           let rec elements acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' -> advance (); elements (v :: acc)
@@ -201,8 +211,7 @@ let of_string s =
           elements []
         end
     | Some '{' ->
-        advance ();
-        skip_ws ();
+        open_nested depth;
         if peek () = Some '}' then begin
           advance ();
           Obj []
@@ -213,7 +222,7 @@ let of_string s =
             let key = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' -> advance (); fields ((key, v) :: acc)
@@ -224,7 +233,7 @@ let of_string s =
         end
     | Some _ -> parse_number ()
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> n then fail "trailing garbage at offset %d" !pos;
   v

@@ -18,8 +18,9 @@ exception Parse_error of string
 
 val of_string : string -> t
 (** Parse a complete JSON document; raises {!Parse_error} on malformed
-    input or trailing garbage.  Together with {!to_string} this gives
-    the round-trip property the sink tests rely on. *)
+    input, trailing garbage, or arrays and objects nested more than 512
+    deep.  Together with {!to_string} this gives the round-trip property
+    the sink tests rely on. *)
 
 val member : string -> t -> t option
 (** [member key (Obj _)] looks up a field; [None] on other nodes. *)

@@ -208,8 +208,13 @@ let handle_connection t fd =
     loop ()
   with
   | Frame.Frame_error _ | Unix.Unix_error _ | Obs.Json.Parse_error _ -> ()
+  (* Anything else escaping one request ends that connection, never the
+     worker serving it: a daemon whose workers are all lost can answer
+     nothing, shutdown included. *)
+  | exn -> Obs.Log.info "connection dropped: %s" (Printexc.to_string exn)
 
 let worker_loop t =
+  Fun.protect ~finally:(fun () -> Atomic.decr t.live_workers) @@ fun () ->
   let rec loop () =
     if not (Atomic.get t.stop) then begin
       (match Unix.select t.listeners [] [] 0.25 with
@@ -229,8 +234,7 @@ let worker_loop t =
       loop ()
     end
   in
-  loop ();
-  Atomic.decr t.live_workers
+  loop ()
 
 (* Main-domain loop: run queued jobs>1 requests until shutdown, then
    keep draining until every worker has exited (a worker may enqueue a

@@ -15,7 +15,9 @@
     [Par] pools are coordinator-only, so a request running at a count
     above 1 is shipped to the main domain — the one that called {!run}
     and owns the pools — and such requests serialise among themselves
-    while jobs=1 traffic keeps flowing on the workers. *)
+    while jobs=1 traffic keeps flowing on the workers.  An exception
+    escaping one request closes that connection; the worker goes on
+    serving. *)
 
 type config = {
   socket_path : string;

@@ -197,7 +197,7 @@ let contains haystack needle =
 let test_prometheus_format () =
   with_collection (fun () ->
       M.add (M.counter "states_explored") 42;
-      M.set (M.gauge "statespace.shard_states") 17.0;
+      M.set (M.gauge "statespace.frontier_states") 17.0;
       M.observe (M.histogram "solver.sweep_s") 0.5;
       M.observe (M.histogram "solver.sweep_s") 1.5;
       let s = M.series "sampler.heap_words" in
@@ -210,8 +210,8 @@ let test_prometheus_format () =
           "# TYPE choreographer_states_explored_total counter";
           "choreographer_states_explored_total 42";
           (* Dots sanitised to underscores. *)
-          "# TYPE choreographer_statespace_shard_states gauge";
-          "choreographer_statespace_shard_states 17";
+          "# TYPE choreographer_statespace_frontier_states gauge";
+          "choreographer_statespace_frontier_states 17";
           "# TYPE choreographer_solver_sweep_s summary";
           "choreographer_solver_sweep_s_count 2";
           "choreographer_solver_sweep_s_sum 2";

@@ -188,6 +188,24 @@ let test_json_parser_rejects_garbage () =
     "non-finite numbers serialise as null" "[null,null]"
     (J.to_string (J.Arr [ J.Num nan; J.Num infinity ]))
 
+(* The parser recurses once per nesting level, so depth is capped: a
+   well-formed but 100k-deep array is a parse error, not a stack
+   overflow. *)
+let test_json_depth_bounded () =
+  let nested depth = String.make depth '[' ^ String.make depth ']' in
+  (match J.of_string (nested 512) with
+  | J.Arr [ _ ] -> ()
+  | _ -> Alcotest.fail "512 levels must parse");
+  List.iter
+    (fun depth ->
+      match J.of_string (nested depth) with
+      | exception J.Parse_error msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "%d levels rejected" depth)
+            "nesting deeper than 512 at offset 512" msg
+      | _ -> Alcotest.failf "%d levels must not parse" depth)
+    [ 513; 100_000 ]
+
 (* ------------------------------------------------------------------ *)
 (* Pipeline integration                                                *)
 (* ------------------------------------------------------------------ *)
@@ -252,6 +270,7 @@ let suite =
     Alcotest.test_case "chrome trace JSON round-trips" `Quick test_chrome_trace_roundtrip;
     Alcotest.test_case "metrics JSON round-trips" `Quick test_metrics_json_roundtrip;
     Alcotest.test_case "json parser edges" `Quick test_json_parser_rejects_garbage;
+    Alcotest.test_case "json nesting depth is bounded" `Quick test_json_depth_bounded;
     Alcotest.test_case "pipeline metrics match results" `Quick test_pipeline_metrics_agree;
     Alcotest.test_case "run report capture" `Quick test_report_capture;
   ]

@@ -735,6 +735,84 @@ let test_daemon_survives_out_of_range_jobs () =
           Alcotest.(check bool) "next request answered" true (output <> "")
       | Service.Protocol.Error_response { message; _ } -> Alcotest.fail message)
 
+(* The built executables, run as subprocesses. *)
+let built_exe name =
+  match
+    List.find_opt Sys.file_exists [ Filename.concat "../bin" name; Filename.concat "bin" name ]
+  with
+  | Some path -> path
+  | None -> Alcotest.failf "executable %s not found" name
+
+(* A 2 MB frame of '[' sent to the built daemon with one worker and its
+   stack capped by OCAMLRUNPARAM: the frame must be refused as
+   malformed JSON, the worker must go on answering, and shutdown must
+   end the process.  A worker lost to a stack overflow would leave
+   [stats] unanswered and shutdown waiting for it forever. *)
+let test_daemon_survives_deep_frame () =
+  let socket = Filename.temp_file "choreographerd" ".sock" in
+  Sys.remove socket;
+  let env =
+    Array.append
+      [| "OCAMLRUNPARAM=l=256k" |]
+      (Array.of_list
+         (List.filter
+            (fun v -> not (has_prefix "OCAMLRUNPARAM=" v))
+            (Array.to_list (Unix.environment ()))))
+  in
+  let exe = built_exe "choreographerd_main.exe" in
+  let null = Unix.openfile Filename.null [ Unix.O_RDWR ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () ->
+        Unix.create_process_env exe
+          [| exe; "--socket"; socket; "--workers"; "1"; "--no-ledger" |]
+          env null null null)
+  in
+  let exited () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ -> false
+    | _ -> true
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+  in
+  let wait_until deadline cond =
+    while (not (cond ())) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.02
+    done;
+    cond ()
+  in
+  let finished = ref false in
+  let finally () =
+    if not !finished then begin
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (wait_until (Unix.gettimeofday () +. 5.0) exited)
+    end;
+    if Sys.file_exists socket then Sys.remove socket
+  in
+  Fun.protect ~finally (fun () ->
+      let listening () =
+        match Service.Client.connect ~socket () with
+        | conn ->
+            Service.Client.close conn;
+            true
+        | exception Service.Client.Connection_error _ -> false
+      in
+      if not (wait_until (Unix.gettimeofday () +. 10.0) listening) then
+        Alcotest.fail "daemon did not come up";
+      (match raw_exchange socket (String.make (2 * 1024 * 1024) '[') with
+      | Service.Protocol.Error_response { code; message } ->
+          Alcotest.(check int) "malformed request code" 1 code;
+          Alcotest.(check bool) "reported as not JSON" true
+            (has_prefix "error: request is not JSON" message)
+      | Service.Protocol.Ok_response _ -> Alcotest.fail "deep frame accepted");
+      let request r = Obs.Json.to_string (Service.Protocol.request_to_json r) in
+      (match raw_exchange socket (request Service.Protocol.Stats) with
+      | Service.Protocol.Ok_response _ -> ()
+      | Service.Protocol.Error_response { message; _ } -> Alcotest.fail message);
+      ignore (raw_exchange socket (request Service.Protocol.Shutdown));
+      finished := wait_until (Unix.gettimeofday () +. 10.0) exited;
+      if not !finished then Alcotest.fail "daemon still running 10 s after shutdown")
+
 (* Jacobi is gone: both CLIs reject it as an invalid option value (exit
    2, valid choices listed) and the daemon as an invalid request (code
    1, same list). *)
@@ -752,17 +830,9 @@ let run_cli exe args =
       (code, String.concat " " (List.filter (( <> ) "") words)))
 
 let test_jacobi_rejected_everywhere () =
-  let exe name =
-    match
-      List.find_opt Sys.file_exists
-        [ Filename.concat "../bin" name; Filename.concat "bin" name ]
-    with
-    | Some path -> path
-    | None -> Alcotest.failf "executable %s not found" name
-  in
   List.iter
     (fun (cli, args) ->
-      let code, stderr = run_cli (exe cli) args in
+      let code, stderr = run_cli (built_exe cli) args in
       Alcotest.(check int) (cli ^ " exits 2") 2 code;
       Alcotest.(check bool) (cli ^ " lists the valid methods") true
         (has_infix "valid: auto, direct, gauss-seidel, sor[:omega], power, bicgstab" stderr))
@@ -780,6 +850,40 @@ let test_jacobi_rejected_everywhere () =
           Alcotest.(check int) "invalid request code" 1 code;
           Alcotest.(check bool) "lists the valid methods" true (has_infix "(valid: " message)
       | Service.Protocol.Ok_response _ -> Alcotest.fail "jacobi accepted by the daemon")
+
+(* Every pepa-workbench subcommand that explores a model reports a
+   malformed one the way solve does: exit 1, stderr "error: NAME: ...". *)
+let test_workbench_malformed_models () =
+  let exe = built_exe "workbench_main.exe" in
+  let temp suffix contents =
+    let path = Filename.temp_file "malformed" suffix in
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents);
+    path
+  in
+  let models = [ temp ".pepa" "P = (a, 1.0).;"; temp ".pepanet" "this is not a net" ] in
+  let basename = Filename.temp_file "malformed" ".export" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove (basename :: models))
+    (fun () ->
+      List.iter
+        (fun model ->
+          List.iter
+            (fun (sub, extra) ->
+              let code, stderr = run_cli exe (sub :: model :: extra) in
+              let what = Printf.sprintf "%s %s" sub (Filename.extension model) in
+              Alcotest.(check int) (what ^ " exits 1") 1 code;
+              Alcotest.(check bool)
+                (what ^ " reports an error: " ^ stderr)
+                true (has_prefix "error: " stderr))
+            [
+              ("statespace", []);
+              ("check", []);
+              ("transient", [ "--time"; "1" ]);
+              ("export", [ "-o"; basename ]);
+              ("passage", [ "-a"; "a" ]);
+              ("graph", []);
+            ])
+        models)
 
 let suite =
   [
@@ -806,5 +910,8 @@ let suite =
     Alcotest.test_case "daemon sweep and shutdown" `Quick test_daemon_sweep_and_shutdown;
     Alcotest.test_case "daemon survives out-of-range jobs" `Quick
       test_daemon_survives_out_of_range_jobs;
+    Alcotest.test_case "daemon survives a deep frame" `Quick test_daemon_survives_deep_frame;
     Alcotest.test_case "jacobi rejected by CLIs and daemon" `Quick test_jacobi_rejected_everywhere;
+    Alcotest.test_case "workbench malformed models exit 1" `Quick
+      test_workbench_malformed_models;
   ]
