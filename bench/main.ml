@@ -150,11 +150,12 @@ let e3 () =
   let space =
     Pepanet.Net_statespace.build (Pepanet.Net_compile.compile ex.Extract.Ad_to_pepanet.net)
   in
-  let finished = Pepanet.Net_statespace.deadlocks space in
+  let lts = Pepanet.Net_statespace.lts space in
+  let finished = Markov.Lts.deadlocks lts in
   let transient_rows =
     List.map
       (fun t ->
-        let pi = Pepanet.Net_statespace.transient space ~time:t in
+        let pi = Markov.Lts.transient lts ~time:t in
         let p = List.fold_left (fun acc i -> acc +. pi.(i)) 0.0 finished in
         [ Printf.sprintf "%.1f" t; f p ])
       [ 1.0; 2.0; 4.0; 8.0; 16.0; 32.0 ]
@@ -359,11 +360,9 @@ let e6 () =
   print_string "numerical solution vs simulation (task throughput, 8 replicas)\n";
   let pi = Markov.Steady.solve chain in
   let task_jumps = Hashtbl.create 64 in
-  List.iter
-    (fun tr ->
-      if Pepa.Action.equal tr.Pepa.Statespace.action (Pepa.Action.act "task") then
-        Hashtbl.replace task_jumps (tr.Pepa.Statespace.src, tr.Pepa.Statespace.dst) ())
-    (Pepa.Statespace.transitions space);
+  Markov.Lts.iter (Pepa.Statespace.lts space) (fun ~src ~label ~rate:_ ~dst ->
+      if Pepa.Action.equal label (Pepa.Action.act "task") then
+        Hashtbl.replace task_jumps (src, dst) ());
   let exact = Pepa.Statespace.throughput space pi "task" in
   let est, dt =
     Obs.Clock.time (fun () ->

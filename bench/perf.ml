@@ -181,8 +181,8 @@ let pepa_row n =
         time ~attrs "bench.pepa.solve_power_seq" (fun _ ->
             Markov.Steady.solve ~method_:Markov.Steady.Power ~options:solve_options chain)
       in
-      Pepa.Statespace.release_derived space;
-      Pepa.Statespace.release_derived space_a;
+      Markov.Lts.release (Pepa.Statespace.lts space);
+      Markov.Lts.release (Pepa.Statespace.lts space_a);
       let space_p, par_build_s =
         time ~attrs "bench.pepa.build_par" (fun _ ->
             Pepa.Statespace.of_string (replicated_model n))
@@ -260,7 +260,7 @@ let net_row k =
   in
   let chain, assemble_s =
     time ~attrs "bench.net.assemble" (fun _ ->
-        let chain = Pepanet.Net_statespace.ctmc space in
+        let chain = Markov.Lts.ctmc (Pepanet.Net_statespace.lts space) in
         ignore (Markov.Ctmc.generator_transposed chain);
         chain)
   in
@@ -295,15 +295,15 @@ let net_row k =
         time ~attrs "bench.net.solve_power_seq" (fun _ ->
             Markov.Steady.solve ~method_:Markov.Steady.Power ~options:solve_options chain)
       in
-      Pepanet.Net_statespace.release_derived space;
-      Pepanet.Net_statespace.release_derived space_a;
+      Markov.Lts.release (Pepanet.Net_statespace.lts space);
+      Markov.Lts.release (Pepanet.Net_statespace.lts space_a);
       let space_p, par_build_s =
         time ~attrs "bench.net.build_par" (fun _ ->
             Pepanet.Net_statespace.build compiled)
       in
       let chain_p, par_assemble_s =
         time ~attrs "bench.net.assemble_par" (fun _ ->
-            let chain = Pepanet.Net_statespace.ctmc space_p in
+            let chain = Markov.Lts.ctmc (Pepanet.Net_statespace.lts space_p) in
             ignore (Markov.Ctmc.generator_transposed chain);
             chain)
       in

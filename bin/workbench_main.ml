@@ -134,7 +134,7 @@ let check_cmd =
           List.iter (Printf.printf "warning: %s\n") warnings;
           List.iter
             (fun i -> Printf.printf "deadlock: %s\n" (Pepanet.Net_statespace.marking_label space i))
-            (Pepanet.Net_statespace.deadlocks space)
+            (Markov.Lts.deadlocks (Pepanet.Net_statespace.lts space))
         end
         else begin
           let space, warnings = load_pepa path in
@@ -142,7 +142,7 @@ let check_cmd =
           List.iter (Printf.printf "warning: %s\n") warnings;
           List.iter
             (fun i -> Printf.printf "deadlock: %s\n" (Pepa.Statespace.state_label space i))
-            (Pepa.Statespace.deadlocks space)
+            (Markov.Lts.deadlocks (Pepa.Statespace.lts space))
         end)
   in
   Cmd.v
@@ -157,7 +157,7 @@ let transient_cmd =
     handle_errors (fun () ->
         if is_net_file path net then begin
           let space, _ = load_net path in
-          let pi = Pepanet.Net_statespace.transient space ~time in
+          let pi = Markov.Lts.transient (Pepanet.Net_statespace.lts space) ~time in
           Array.iteri
             (fun i p ->
               if p > 1e-9 then
@@ -166,7 +166,7 @@ let transient_cmd =
         end
         else begin
           let space, _ = load_pepa path in
-          let pi = Pepa.Statespace.transient space ~time in
+          let pi = Markov.Lts.transient (Pepa.Statespace.lts space) ~time in
           Array.iteri
             (fun i p ->
               if p > 1e-9 then
@@ -195,7 +195,7 @@ let export_cmd =
               List.init (Pepanet.Net_statespace.n_markings space) (fun i ->
                   (Pepanet.Net_statespace.marking_label space i, [ i ]))
             in
-            (Pepanet.Net_statespace.ctmc space, labels)
+            (Markov.Lts.ctmc (Pepanet.Net_statespace.lts space), labels)
           end
           else begin
             let space, _ = load_pepa path in
@@ -243,21 +243,10 @@ let passage_cmd =
     handle_errors (fun () ->
         if is_net_file path net then begin
           let space, _ = load_net path in
-          let labelled tr =
-            match tr.Pepanet.Net_statespace.label with
-            | Pepanet.Net_semantics.Local a -> Pepa.Action.name a = Some action
-            | Pepanet.Net_semantics.Fire { action = a; _ } -> a = action
-          in
-          let matching = List.filter labelled (Pepanet.Net_statespace.transitions space) in
-          let sources =
-            List.map (fun tr -> (tr.Pepanet.Net_statespace.src, 1.0)) matching
-            |> List.sort_uniq compare
-          in
-          let targets =
-            List.map (fun tr -> tr.Pepanet.Net_statespace.dst) matching
-            |> List.sort_uniq compare
-          in
-          report (Pepanet.Net_statespace.ctmc space) sources targets times action
+          let lts = Pepanet.Net_statespace.lts space in
+          let matching = Pepanet.Net_measures.label_matches_action action in
+          let sources = List.map (fun s -> (s, 1.0)) (Markov.Lts.sources lts matching) in
+          report (Markov.Lts.ctmc lts) sources (Markov.Lts.targets lts matching) times action
         end
         else begin
           let space, _ = load_pepa path in
@@ -266,13 +255,8 @@ let passage_cmd =
             Pepa.Analysis.states_enabling space action |> List.map (fun s -> (s, 1.0))
           in
           let targets =
-            List.filter_map
-              (fun tr ->
-                if Pepa.Action.equal tr.Pepa.Statespace.action (Pepa.Action.act action) then
-                  Some tr.Pepa.Statespace.dst
-                else None)
-              (Pepa.Statespace.transitions space)
-            |> List.sort_uniq compare
+            Markov.Lts.targets (Pepa.Statespace.lts space) (fun a ->
+                Pepa.Action.equal a (Pepa.Action.act action))
           in
           report chain sources targets times action
         end)

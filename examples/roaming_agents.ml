@@ -41,7 +41,7 @@ let () =
         = Some host_c)
       (List.init (Pepanet.Net_statespace.n_markings space) Fun.id)
   in
-  let chain = Pepanet.Net_statespace.ctmc space in
+  let chain = Markov.Lts.ctmc (Pepanet.Net_statespace.lts space) in
   let sources = [ (Pepanet.Net_statespace.initial_index space, 1.0) ] in
   List.iter
     (fun (t, p) -> Printf.printf "  P(reached HostC by %4.1f s) = %.4f\n" t p)

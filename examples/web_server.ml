@@ -63,24 +63,13 @@ let response_time_distribution study =
   print_string (Choreographer.Report.section "Response-time distribution (passage analysis)");
   let space = study.Scenarios.Tomcat.analysis.Choreographer.Workbench.space in
   let chain = Pepa.Statespace.ctmc space in
-  let sources =
-    (* states the client enters by performing request *)
-    List.filter_map
-      (fun tr ->
-        if Pepa.Action.equal tr.Pepa.Statespace.action (Pepa.Action.act "request") then
-          Some (tr.Pepa.Statespace.dst, 1.0)
-        else None)
-      (Pepa.Statespace.transitions space)
+  let lts = Pepa.Statespace.lts space in
+  let entered_by name =
+    Markov.Lts.targets lts (fun action -> Pepa.Action.equal action (Pepa.Action.act name))
   in
-  let targets =
-    List.filter_map
-      (fun tr ->
-        if Pepa.Action.equal tr.Pepa.Statespace.action (Pepa.Action.act "response") then
-          Some tr.Pepa.Statespace.dst
-        else None)
-      (Pepa.Statespace.transitions space)
-    |> List.sort_uniq compare
-  in
+  (* states the client enters by performing request *)
+  let sources = List.map (fun s -> (s, 1.0)) (entered_by "request") in
+  let targets = entered_by "response" in
   Printf.printf "mean response time: %.4f s\n" (Markov.Passage.mean chain ~sources ~targets);
   List.iter
     (fun (t, p) -> Printf.printf "  P(response within %4.2f s) = %.4f\n" t p)

@@ -20,14 +20,11 @@ let pepa_statespace space =
          (escape (Pepa.Statespace.state_label space i))
          (if i = Pepa.Statespace.initial_index space then ", peripheries=2" else ""))
   done;
-  List.iter
-    (fun tr ->
+  Markov.Lts.iter (Pepa.Statespace.lts space) (fun ~src ~label ~rate ~dst ->
       Buffer.add_string buf
-        (Printf.sprintf "  s%d -> s%d [label=\"%s/%.3g\"];\n" tr.Pepa.Statespace.src
-           tr.Pepa.Statespace.dst
-           (escape (Pepa.Action.to_string tr.Pepa.Statespace.action))
-           tr.Pepa.Statespace.rate))
-    (Pepa.Statespace.transitions space);
+        (Printf.sprintf "  s%d -> s%d [label=\"%s/%.3g\"];\n" src dst
+           (escape (Pepa.Action.to_string label))
+           rate));
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
@@ -41,18 +38,16 @@ let net_statespace space =
          (escape (Pepanet.Net_statespace.marking_label space i))
          (if i = Pepanet.Net_statespace.initial_index space then ", peripheries=2" else ""))
   done;
-  List.iter
-    (fun tr ->
+  Markov.Lts.iter (Pepanet.Net_statespace.lts space) (fun ~src ~label ~rate ~dst ->
       let label, style =
-        match tr.Pepanet.Net_statespace.label with
+        match label with
         | Pepanet.Net_semantics.Local action -> (Pepa.Action.to_string action, "")
         | Pepanet.Net_semantics.Fire { action; transition } ->
             (Printf.sprintf "%s!%s" action transition, ", style=bold")
       in
       Buffer.add_string buf
-        (Printf.sprintf "  m%d -> m%d [label=\"%s/%.3g\"%s];\n" tr.Pepanet.Net_statespace.src
-           tr.Pepanet.Net_statespace.dst (escape label) tr.Pepanet.Net_statespace.rate style))
-    (Pepanet.Net_statespace.transitions space);
+        (Printf.sprintf "  m%d -> m%d [label=\"%s/%.3g\"%s];\n" src dst (escape label) rate
+           style));
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 

@@ -265,13 +265,8 @@ let context_of_pepa (analysis : Workbench.pepa_analysis) =
     located = (fun _ _ -> None);
     reached_by =
       (fun a ->
-        List.filter_map
-          (fun tr ->
-            if Pepa.Action.equal tr.Pepa.Statespace.action (Pepa.Action.act a) then
-              Some tr.Pepa.Statespace.dst
-            else None)
-          (Pepa.Statespace.transitions space)
-        |> List.sort_uniq compare);
+        Markov.Lts.targets (Pepa.Statespace.lts space) (fun action ->
+            Pepa.Action.equal action (Pepa.Action.act a)));
   }
 
 let context_of_net (analysis : Workbench.net_analysis) =
@@ -286,13 +281,9 @@ let context_of_net (analysis : Workbench.net_analysis) =
     in
     scan 0
   in
-  let labelled a tr =
-    match tr.Pepanet.Net_statespace.label with
-    | Pepanet.Net_semantics.Local action -> Pepa.Action.name action = Some a
-    | Pepanet.Net_semantics.Fire { action; _ } -> action = a
-  in
+  let lts = Pepanet.Net_statespace.lts space in
   {
-    chain = Pepanet.Net_statespace.ctmc space;
+    chain = Markov.Lts.ctmc lts;
     throughput =
       (fun a ->
         if List.mem a (Pepanet.Net_statespace.action_names space) then
@@ -307,13 +298,7 @@ let context_of_net (analysis : Workbench.net_analysis) =
               (List.assoc_opt place
                  (Pepanet.Net_measures.token_location_probabilities space pi ~token:id)))
           (token_id token));
-    reached_by =
-      (fun a ->
-        List.filter_map
-          (fun tr ->
-            if labelled a tr then Some tr.Pepanet.Net_statespace.dst else None)
-          (Pepanet.Net_statespace.transitions space)
-        |> List.sort_uniq compare);
+    reached_by = (fun a -> Markov.Lts.targets lts (Pepanet.Net_measures.label_matches_action a));
   }
 
 let rec eval context = function

@@ -1,7 +1,9 @@
 (** Discrete-time Markov chains.
 
-    Used for the jump chain embedded in a CTMC and for the uniformised
-    chain that drives the power method; also convenient in tests. *)
+    The jump chain embedded in a CTMC and its uniformised chain, with
+    step-by-step and fixed-point evaluation.  {!Steady}'s power method
+    sweeps the uniformised generator itself and never builds one of
+    these; they serve tests and small cross-checks. *)
 
 type t
 

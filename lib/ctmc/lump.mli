@@ -1,13 +1,13 @@
 (** CTMC aggregation by ordinary lumpability.
 
-    Partition refinement over the flat src/dst/rate/label transition
-    columns the state-space builders already keep: starting from the
-    partition induced by each state's per-label total exit rate (the
-    action signature), blocks are split until every state of a block
-    has the same total rate, per label, into every other block.  The
-    fixpoint is ordinarily lumpable, so the quotient chain's
-    steady-state distribution aggregates the original one exactly:
-    [pi_hat(C) = sum_{s in C} pi(s)].
+    Partition refinement over flat src/dst/rate/label transition
+    columns ({!Lts.columns} expands a state space's stream into them):
+    starting from the partition induced by each state's per-label total
+    exit rate (the action signature), blocks are split until every state
+    of a block has the same total rate, per label, into every other
+    block.  The fixpoint is ordinarily lumpable, so the quotient
+    chain's steady-state distribution aggregates the original one
+    exactly: [pi_hat(C) = sum_{s in C} pi(s)].
 
     Because the initial partition fixes the per-label exit-rate vector
     on every block, uniform-over-class disaggregation of the lumped

@@ -1,8 +1,10 @@
 (** Reward-style measures over a probability distribution.
 
-    The action-labelled measures used by the PEPA layers (throughput of
-    an action type, utilisation of a component state) all reduce to the
-    generic combinators here. *)
+    Generic combinators over a distribution and explicit transition
+    triples.  The PEPA layers do not use them: their throughputs select
+    from {!Lts.flux} and their utilisations sum the state store
+    directly.  {!distribution_distance} is what solver cross-checks
+    compare distributions with. *)
 
 val expectation : float array -> (int -> float) -> float
 (** [expectation pi reward] is [sum_i pi.(i) * reward i]. *)

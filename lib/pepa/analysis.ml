@@ -1,50 +1,32 @@
-let deadlock_free space = Statespace.deadlocks space = []
+let is_act name action = Action.equal action (Action.Act name)
+let deadlock_free space = Markov.Lts.deadlocks (Statespace.lts space) = []
 
+(* Labels are interned only when a transition carries them. *)
 let reachable_action space name =
-  List.exists
-    (fun tr -> Action.equal tr.Statespace.action (Action.Act name))
-    (Statespace.transitions space)
+  Array.exists (is_act name) (Markov.Lts.labels (Statespace.lts space))
 
-let states_enabling space name =
-  let enabled = Hashtbl.create 16 in
-  List.iter
-    (fun tr ->
-      if Action.equal tr.Statespace.action (Action.Act name) then
-        Hashtbl.replace enabled tr.Statespace.src ())
-    (Statespace.transitions space);
-  List.sort compare (Hashtbl.fold (fun s () acc -> s :: acc) enabled [])
+let states_enabling space name = Markov.Lts.sources (Statespace.lts space) (is_act name)
 
 let never_follows space ~first ~then_ =
-  let after_first = Hashtbl.create 16 in
-  List.iter
-    (fun tr ->
-      if Action.equal tr.Statespace.action (Action.Act first) then
-        Hashtbl.replace after_first tr.Statespace.dst ())
-    (Statespace.transitions space);
-  not
-    (List.exists
-       (fun tr ->
-         Action.equal tr.Statespace.action (Action.Act then_)
-         && Hashtbl.mem after_first tr.Statespace.src)
-       (Statespace.transitions space))
+  let lts = Statespace.lts space in
+  let entered = Array.make (Statespace.n_states space) false in
+  List.iter (fun s -> entered.(s) <- true) (Markov.Lts.targets lts (is_act first));
+  not (List.exists (fun s -> entered.(s)) (Markov.Lts.sources lts (is_act then_)))
 
 let eventually_reaches space ~from name =
-  let n = Statespace.n_states space in
-  let seen = Array.make n false in
+  let lts = Statespace.lts space in
+  let seen = Array.make (Statespace.n_states space) false in
   let queue = Queue.create () in
   seen.(from) <- true;
   Queue.add from queue;
   let found = ref false in
   while (not !found) && not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    List.iter
-      (fun tr ->
-        if Action.equal tr.Statespace.action (Action.Act name) then found := true;
-        if not seen.(tr.Statespace.dst) then begin
-          seen.(tr.Statespace.dst) <- true;
-          Queue.add tr.Statespace.dst queue
+    Markov.Lts.iter_row lts (Queue.pop queue) (fun ~label ~rate:_ ~dst ->
+        if is_act name label then found := true;
+        if not seen.(dst) then begin
+          seen.(dst) <- true;
+          Queue.add dst queue
         end)
-      (Statespace.transitions_from space s)
   done;
   !found
 

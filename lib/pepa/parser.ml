@@ -192,7 +192,10 @@ let tokenize src =
 (* Parser state                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type state = { tokens : spanned array; mutable index : int }
+(* [depth] counts the parentheses open at the cursor, across process
+   terms, rate expressions and the net parser's place contexts, which
+   all read this stream. *)
+type state = { tokens : spanned array; mutable index : int; mutable depth : int }
 
 let current st = st.tokens.(st.index)
 let peek_token st = (current st).token
@@ -212,6 +215,22 @@ let expect st token what =
   else
     error st
       (Printf.sprintf "expected %s but found %s" what (token_to_string (peek_token st)))
+
+(* The sub-parsers recurse once per open parenthesis, so nesting is
+   capped (at the depth [Obs.Json] allows) to keep a hostile model from
+   overflowing the stack. *)
+let max_depth = 512
+
+(* [( f )] with the cursor on the opening parenthesis. *)
+let parenthesised st f =
+  if st.depth >= max_depth then
+    error st (Printf.sprintf "parentheses nested deeper than %d levels" max_depth);
+  advance st;
+  st.depth <- st.depth + 1;
+  let inner = f st in
+  expect st Rparen "')'";
+  st.depth <- st.depth - 1;
+  inner
 
 (* ------------------------------------------------------------------ *)
 (* Rate expressions                                                    *)
@@ -276,11 +295,7 @@ and parse_rate_factor st =
         Rpassive weight
       end
       else Rpassive 1.0
-  | Lparen ->
-      advance st;
-      let e = parse_rate_expr st in
-      expect st Rparen "')'";
-      e
+  | Lparen -> parenthesised st parse_rate_expr
   | t -> error st (Printf.sprintf "expected a rate expression but found %s" (token_to_string t))
 
 (* ------------------------------------------------------------------ *)
@@ -373,19 +388,16 @@ and parse_atom st =
       (* Distinguish an activity prefix "(a, r)." from grouping "(P)". *)
       match (peek_token_at st 1, peek_token_at st 2) with
       | (Lident _ | Kw_tau), Comma ->
-          advance st;
-          let action = parse_action_name st in
-          expect st Comma "','";
-          let rate = parse_rate_expr st in
-          expect st Rparen "')'";
+          let action, rate =
+            parenthesised st (fun st ->
+                let action = parse_action_name st in
+                expect st Comma "','";
+                (action, parse_rate_expr st))
+          in
           expect st Dot "'.'";
           let cont = parse_postfix st in
           Prefix (action, rate, cont)
-      | _ ->
-          advance st;
-          let e = parse_expr st in
-          expect st Rparen "')'";
-          e)
+      | _ -> parenthesised st parse_expr)
   | t -> error st (Printf.sprintf "expected a process expression but found %s" (token_to_string t))
 
 (* ------------------------------------------------------------------ *)
@@ -438,8 +450,10 @@ let parse_model st =
   in
   { definitions; system }
 
+let stream_of_string src = { tokens = tokenize src; index = 0; depth = 0 }
+
 let run parse src =
-  let st = { tokens = tokenize src; index = 0 } in
+  let st = stream_of_string src in
   let result = parse st in
   (match peek_token st with
   | Eof -> ()
@@ -452,12 +466,12 @@ let rate_expr_of_string src = run parse_rate_expr src
 
 type stream = state
 
-let stream_of_string src = { tokens = tokenize src; index = 0 }
 let stream_peek = peek_token
 let stream_peek_at = peek_token_at
 let stream_advance = advance
 let stream_expect = expect
 let stream_error st message = error st message
+let stream_parenthesised = parenthesised
 let parse_expr_at = parse_expr
 let parse_rate_expr_at = parse_rate_expr
 let parse_action_set_at = parse_action_set

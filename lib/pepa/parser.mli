@@ -18,7 +18,12 @@
     Process constants start with an upper-case letter, rate parameters
     and action types with a lower-case letter, following the classical
     PEPA convention.  If no [system] directive is present the last
-    process definition is taken as the system equation. *)
+    process definition is taken as the system equation.
+
+    Parentheses may nest at most 512 deep (counted across process
+    terms, rate expressions and PEPA-net place contexts); deeper input
+    raises {!Parse_error} at the first parenthesis past the limit
+    rather than exhausting the stack. *)
 
 exception Parse_error of { line : int; col : int; message : string }
 
@@ -72,6 +77,11 @@ val stream_peek_at : stream -> int -> token
 val stream_advance : stream -> unit
 val stream_expect : stream -> token -> string -> unit
 val stream_error : stream -> string -> 'a
+
+val stream_parenthesised : stream -> (stream -> 'a) -> 'a
+(** [stream_parenthesised st f] parses ["(" f ")"] with the cursor on
+    the opening parenthesis, counting it against the nesting cap. *)
+
 val parse_expr_at : stream -> Syntax.expr
 val parse_rate_expr_at : stream -> Syntax.rate_expr
 val parse_action_set_at : stream -> Syntax.String_set.t

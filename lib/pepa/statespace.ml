@@ -1,40 +1,13 @@
-type transition = { src : int; action : Action.t; rate : float; dst : int }
-
-(* Transitions live in a compressed grouped stream with the action
-   types interned into a small table: [row_start] delimits each source
-   state's slice (the src column is its run-length encoding and is
-   never stored), and each transition packs destination and action id
-   into one word next to its rate — two words per transition where the
-   seed layout spent four.  The CTMC assembles straight from the
-   stream ([Ctmc.of_grouped]); the historical list-returning API
-   survives as a thin compatibility layer that materialises (and
-   caches) records on demand. *)
+(* The state store (a bit-packed arena of leaf vectors), the symmetry
+   used to build it, and the one labelled transition stream derived
+   from it ([Markov.Lts]), labelled by action type. *)
 type t = {
   compiled : Compile.t;
   symmetry : Symmetry.t;  (* trivial unless built with ~symmetry:true *)
   codec : Statekey.t;
-  n_states : int;
   packed : Bytes.t;  (* bit-packed state arena: state [i] at [i * Statekey.size codec] *)
-  tr_pack : int array;  (* dst in the low bits, interned action id above *)
-  tr_rate : float array;
-  actions : Action.t array;  (* interned action table *)
-  row_start : int array;  (* CSR over transitions grouped by src; length n_states + 1 *)
-  mutable transition_cache : transition list option;
-  mutable outgoing_cache : transition list array option;
-  mutable chain : Markov.Ctmc.t option;
-  mutable lump : Markov.Lump.t option;
+  lts : Action.t Markov.Lts.t;
 }
-
-(* Destination in the low 48 bits, action id in the bits above:
-   comfortably inside a 63-bit int for any explorable space (the
-   default cap is 10^6 states) and any realistic action alphabet (the
-   14-bit budget is guarded at intern time). *)
-let pack_dst_bits = 48
-let pack_dst_mask = (1 lsl pack_dst_bits) - 1
-let max_interned_actions = 1 lsl (62 - pack_dst_bits)
-let pack ~dst ~action = (action lsl pack_dst_bits) lor dst
-let tr_dst t k = t.tr_pack.(k) land pack_dst_mask
-let tr_action_id t k = t.tr_pack.(k) lsr pack_dst_bits
 
 exception Too_many_states of int
 exception Passive_transition of { state : string; action : string }
@@ -152,56 +125,9 @@ let build ?(max_states = 1_000_000) ?(symmetry = false) compiled =
     done;
     !result
   in
-  (* Compressed transition buffers, doubled on demand: one packed
-     dst/action word and one rate per transition.  Sources arrive in
-     nondecreasing order (BFS pops states by index), so the src column
-     reduces to per-source counts recorded as the stream is emitted. *)
-  let tr_cap = ref 4096 in
-  let tr_pack = ref (Array.make !tr_cap 0) in
-  let tr_rate = ref (Array.make !tr_cap 0.0) in
-  let n_transitions = ref 0 in
-  let rc_cap = ref 4096 in
-  let row_count = ref (Array.make !rc_cap 0) in
-  let push src dst rate action =
-    if !n_transitions = !tr_cap then begin
-      let grow_int a = let b = Array.make (2 * !tr_cap) 0 in Array.blit a 0 b 0 !tr_cap; b in
-      let grow_float a = let b = Array.make (2 * !tr_cap) 0.0 in Array.blit a 0 b 0 !tr_cap; b in
-      tr_pack := grow_int !tr_pack;
-      tr_rate := grow_float !tr_rate;
-      tr_cap := 2 * !tr_cap
-    end;
-    if src >= !rc_cap then begin
-      let cap = ref (2 * !rc_cap) in
-      while src >= !cap do
-        cap := 2 * !cap
-      done;
-      let b = Array.make !cap 0 in
-      Array.blit !row_count 0 b 0 !rc_cap;
-      row_count := b;
-      rc_cap := !cap
-    end;
-    !row_count.(src) <- !row_count.(src) + 1;
-    let k = !n_transitions in
-    !tr_pack.(k) <- pack ~dst ~action;
-    !tr_rate.(k) <- rate;
-    incr n_transitions
-  in
-  (* Action interning. *)
-  let action_ids = Hashtbl.create 16 in
-  let action_list = ref [] in
-  let n_actions = ref 0 in
-  let intern_action a =
-    match Hashtbl.find_opt action_ids a with
-    | Some id -> id
-    | None ->
-        if !n_actions >= max_interned_actions then
-          invalid_arg "Statespace.build: action alphabet exceeds the packed budget";
-        let id = !n_actions in
-        Hashtbl.add action_ids a id;
-        action_list := a :: !action_list;
-        incr n_actions;
-        id
-  in
+  (* Sources arrive in nondecreasing order (BFS pops states by index),
+     as the stream requires. *)
+  let stream = Markov.Lts.builder () in
   ignore (intern (canonical (Compile.initial_state compiled)));
   let next = ref 0 in
   while !next < !n_states do
@@ -210,7 +136,8 @@ let build ?(max_states = 1_000_000) ?(symmetry = false) compiled =
       Obs.Metrics.set frontier_states (float_of_int (!n_states - src));
       if src > 0 && src mod progress_every = 0 then
         Obs.Log.progress ~stage:"statespace.build" ~count:src
-          ~detail:(Printf.sprintf "%d discovered, %d transitions" !n_states !n_transitions)
+          ~detail:
+            (Printf.sprintf "%d discovered, %d transitions" !n_states (Markov.Lts.added stream))
     end;
     let vec = Statekey.unpack_at codec !arena src in
     List.iter
@@ -227,22 +154,14 @@ let build ?(max_states = 1_000_000) ?(symmetry = false) compiled =
                    })
         in
         let dst = intern (canonical (Semantics.apply vec move.Semantics.deltas)) in
-        push src dst rate (intern_action move.Semantics.action))
+        Markov.Lts.add stream ~src ~dst ~rate move.Semantics.action)
       (Semantics.moves compiled vec);
     incr next
   done;
   let n = !n_states in
   let packed_states = Bytes.sub !arena 0 (n * key_size) in
-  let count = !n_transitions in
-  let tr_pack = Array.sub !tr_pack 0 count in
-  let tr_rate = Array.sub !tr_rate 0 count in
-  (* Sources were emitted in increasing order, so the per-source counts
-     scan straight into the row boundaries (states past the counter's
-     high-water mark emitted nothing). *)
-  let row_start = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    row_start.(i + 1) <- row_start.(i) + (if i < !rc_cap then !row_count.(i) else 0)
-  done;
+  let lts = Markov.Lts.finish stream ~n_states:n in
+  let count = Markov.Lts.n_transitions lts in
   if obs_on then begin
     Obs.Metrics.add states_explored n;
     Obs.Metrics.add transitions_emitted count;
@@ -259,21 +178,7 @@ let build ?(max_states = 1_000_000) ?(symmetry = false) compiled =
       Obs.Span.add_int span "canonical_hits" !hits
     end
   end;
-  {
-    compiled;
-    symmetry = sym;
-    codec;
-    n_states = n;
-    packed = packed_states;
-    tr_pack;
-    tr_rate;
-    actions = Array.of_list (List.rev !action_list);
-    row_start;
-    transition_cache = None;
-    outgoing_cache = None;
-    chain = None;
-    lump = None;
-  })
+  { compiled; symmetry = sym; codec; packed = packed_states; lts })
 
 let of_model ?max_states ?symmetry model =
   build ?max_states ?symmetry (Compile.of_model model)
@@ -283,101 +188,22 @@ let of_string ?max_states ?symmetry src =
 
 let compiled t = t.compiled
 let symmetry t = t.symmetry
-let n_states t = t.n_states
-let n_transitions t = Array.length t.tr_pack
+let lts t = t.lts
+let n_states t = Markov.Lts.n_states t.lts
+let n_transitions t = Markov.Lts.n_transitions t.lts
 
 let state t i =
-  if i < 0 || i >= t.n_states then invalid_arg "Statespace.state: index out of range";
+  if i < 0 || i >= n_states t then invalid_arg "Statespace.state: index out of range";
   Statekey.unpack_at t.codec t.packed i
 
 let state_label t i = Compile.state_label t.compiled (state t i)
 let initial_index _ = 0
 
-(* The source of transition [k] is implicit in [row_start]; record
-   consumers all iterate by row, so it is threaded in rather than
-   searched for. *)
-let transition_record t ~src k =
-  {
-    src;
-    action = t.actions.(tr_action_id t k);
-    rate = t.tr_rate.(k);
-    dst = tr_dst t k;
-  }
-
-let iter_transitions t f =
-  for s = 0 to t.n_states - 1 do
-    for k = t.row_start.(s) to t.row_start.(s + 1) - 1 do
-      f ~src:s ~action:t.actions.(tr_action_id t k) ~rate:t.tr_rate.(k) ~dst:(tr_dst t k)
-    done
-  done
-
-let fold_transitions t f init =
-  let acc = ref init in
-  for s = 0 to t.n_states - 1 do
-    for k = t.row_start.(s) to t.row_start.(s + 1) - 1 do
-      acc :=
-        f !acc ~src:s ~action:t.actions.(tr_action_id t k) ~rate:t.tr_rate.(k)
-          ~dst:(tr_dst t k)
-    done
-  done;
-  !acc
-
-let transitions t =
-  match t.transition_cache with
-  | Some l -> l
-  | None ->
-      let acc = ref [] in
-      for s = n_states t - 1 downto 0 do
-        for k = t.row_start.(s + 1) - 1 downto t.row_start.(s) do
-          acc := transition_record t ~src:s k :: !acc
-        done
-      done;
-      t.transition_cache <- Some !acc;
-      !acc
-
-let transitions_from t i =
-  match t.outgoing_cache with
-  | Some rows -> rows.(i)
-  | None ->
-      let rows =
-        Array.init (n_states t) (fun s ->
-            List.init
-              (t.row_start.(s + 1) - t.row_start.(s))
-              (fun k -> transition_record t ~src:s (t.row_start.(s) + k)))
-      in
-      t.outgoing_cache <- Some rows;
-      rows.(i)
-
-let deadlocks t =
-  let result = ref [] in
-  for i = n_states t - 1 downto 0 do
-    if t.row_start.(i) = t.row_start.(i + 1) then result := i :: !result
-  done;
-  !result
-
 let action_names t =
   List.sort_uniq String.compare
-    (List.filter_map Action.name (Array.to_list t.actions))
+    (List.filter_map Action.name (Array.to_list (Markov.Lts.labels t.lts)))
 
-let ctmc t =
-  match t.chain with
-  | Some c -> c
-  | None ->
-      (* The CSR assembles straight from the compressed stream: the
-         grouped layout is exactly what [Ctmc.of_grouped] consumes, so
-         no src/dst/rate coordinate arrays ever exist. *)
-      let c =
-        Markov.Ctmc.of_grouped ~n:(n_states t) ~row_start:t.row_start ~dst:(tr_dst t)
-          ~rate:(fun k -> t.tr_rate.(k))
-      in
-      t.chain <- Some c;
-      c
-
-let release_derived t =
-  t.transition_cache <- None;
-  t.outgoing_cache <- None;
-  t.chain <- None;
-  t.lump <- None
+let ctmc t = Markov.Lts.ctmc t.lts
 
 (* The lump partition's classes must keep every reported measure exact
    under uniform disaggregation.  Ordinary lumpability alone guarantees
@@ -439,94 +265,27 @@ let lump_respect t =
              vec))
   end
 
-(* The partition refinement still speaks flat coordinate columns;
-   expanding the compressed stream here is transient and confined to
-   aggregation requests, which target far smaller spaces than the raw
-   solves the compression exists for. *)
-let transition_columns t =
-  let m = n_transitions t in
-  let src = Array.make m 0 in
-  let dst = Array.make m 0 in
-  let label = Array.make m 0 in
-  for s = 0 to n_states t - 1 do
-    for k = t.row_start.(s) to t.row_start.(s + 1) - 1 do
-      src.(k) <- s;
-      dst.(k) <- tr_dst t k;
-      label.(k) <- tr_action_id t k
-    done
-  done;
-  (src, dst, label)
-
-let lump_partition t =
-  match t.lump with
-  | Some part -> part
-  | None ->
-      (* Labels are the interned action ids, so the refinement never
-         merges states with different per-action exit signatures and
-         every throughput measure is exact on the uniformly
-         disaggregated solution; the respect key keeps the per-state
-         measures exact as well. *)
-      let src, dst, label = transition_columns t in
-      let part =
-        Markov.Lump.refine ~respect:(lump_respect t) ~n:(n_states t) ~src ~dst
-          ~rate:t.tr_rate ~label ()
-      in
-      t.lump <- Some part;
-      part
+let lump_partition t = Markov.Lts.lump_partition t.lts ~respect:(fun () -> lump_respect t)
 
 let steady_state ?method_ ?options ?(lump = false) ?jobs t =
-  if not lump then Markov.Steady.solve ?method_ ?options ?jobs (ctmc t)
-  else begin
-    let part = lump_partition t in
-    if part.Markov.Lump.n_classes >= n_states t then
-      Markov.Steady.solve ?method_ ?options ?jobs (ctmc t)
-    else begin
-      let src, dst, _ = transition_columns t in
-      let quotient = Markov.Lump.quotient_ctmc part ~src ~dst ~rate:t.tr_rate in
-      Markov.Lump.disaggregate part (Markov.Steady.solve ?method_ ?options ?jobs quotient)
-    end
-  end
+  let partition = if lump then Some (lump_partition t) else None in
+  Markov.Lts.steady_state ?method_ ?options ?jobs ?partition t.lts
 
-let transient t ~time =
-  let n = n_states t in
-  let initial = Array.make n 0.0 in
-  initial.(0) <- 1.0;
-  Markov.Transient.probabilities (ctmc t) ~initial ~t:time
-
-(* Per-action-id steady-state flux in one pass over the columns. *)
-let action_flux t pi =
-  let flux = Array.make (Array.length t.actions) 0.0 in
-  for s = 0 to t.n_states - 1 do
-    for k = t.row_start.(s) to t.row_start.(s + 1) - 1 do
-      let id = tr_action_id t k in
-      flux.(id) <- flux.(id) +. (pi.(s) *. t.tr_rate.(k))
-    done
-  done;
-  flux
-
-let throughput t pi name =
-  let flux = ref 0.0 in
-  for s = 0 to t.n_states - 1 do
-    for k = t.row_start.(s) to t.row_start.(s + 1) - 1 do
-      match t.actions.(tr_action_id t k) with
-      | Action.Act n when n = name -> flux := !flux +. (pi.(s) *. t.tr_rate.(k))
-      | Action.Act _ | Action.Tau -> ()
-    done
-  done;
-  !flux
-
+(* Each named action type has exactly one interned id, so its
+   throughput is that id's entry of the per-label flux table. *)
 let throughputs t pi =
-  (* One pass over the columns; each named action type has exactly one
-     interned id, so no regrouping is needed afterwards. *)
-  let flux = action_flux t pi in
+  let flux = Markov.Lts.flux t.lts pi in
+  let actions = Markov.Lts.labels t.lts in
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)
     (List.filter_map
        (fun id ->
-         match Action.name t.actions.(id) with
+         match Action.name actions.(id) with
          | Some name -> Some (name, flux.(id))
          | None -> None)
-       (List.init (Array.length t.actions) Fun.id))
+       (List.init (Array.length actions) Fun.id))
+
+let throughput t pi name = Option.value ~default:0.0 (List.assoc_opt name (throughputs t pi))
 
 let local_state_probability t pi ~leaf ~label =
   (* Under symmetry reduction a single leaf's column of the canonical
@@ -540,7 +299,7 @@ let local_state_probability t pi ~leaf ~label =
   let total = ref 0.0 in
   let key_size = Statekey.size t.codec in
   let vec = Array.make (Statekey.n_fields t.codec) 0 in
-  for i = 0 to t.n_states - 1 do
+  for i = 0 to n_states t - 1 do
     Statekey.unpack_into t.codec t.packed (i * key_size) vec;
     let hits = ref 0 in
     Array.iter
@@ -553,4 +312,4 @@ let local_state_probability t pi ~leaf ~label =
 let pp_summary fmt t =
   Format.fprintf fmt "%d states, %d transitions, %d deadlock state(s)" (n_states t)
     (n_transitions t)
-    (List.length (deadlocks t))
+    (List.length (Markov.Lts.deadlocks t.lts))

@@ -6,14 +6,12 @@
     retains action labels so that action-type measures (throughput) can
     be computed after the steady-state solution.
 
-    Internally transitions are stored as a compressed grouped stream
-    with the action types interned into a table: the row-boundary array
-    is the src column's run-length encoding (so no src column exists),
-    and each transition packs destination and action id into a single
-    word next to its rate — two words per transition.  The CTMC is
-    assembled straight from the stream; the list-returning accessors
-    below are a compatibility layer that materialises records on demand
-    (cached, so repeated calls stay cheap).
+    The transitions form one {!Markov.Lts} stream labelled by action
+    type ({!lts}); the CTMC, lumping, deadlocks, label fluxes and
+    transient solutions are all read off it.  This module keeps what
+    only a PEPA state space knows: the state store, the replica
+    symmetry, and the respect key that keeps lumped solutions exact for
+    its per-state measures.
 
     State vectors are bit-packed through {!Statekey} before they touch
     any table: the intern structures hold compact byte keys hashed
@@ -21,8 +19,6 @@
     arena (a few bytes per state instead of a boxed [int array]), so
     exploration memory is dominated by the transition columns rather
     than the state store.  Accessors decode on demand. *)
-
-type transition = { src : int; action : Action.t; rate : float; dst : int }
 
 type t
 
@@ -95,55 +91,30 @@ val symmetry : t -> Symmetry.t
 val n_states : t -> int
 
 val n_transitions : t -> int
-(** O(1): the count is a consequence of the column layout, not a list
-    traversal. *)
+(** [Markov.Lts.n_transitions (lts t)]: O(1). *)
 
 val state : t -> int -> int array
 val state_label : t -> int -> string
 val initial_index : t -> int
 
-val transitions : t -> transition list
-(** All transitions as records, in exploration order (grouped by
-    source).  Materialised from the compressed stream on first call and
-    cached. *)
-
-val transitions_from : t -> int -> transition list
-
-val iter_transitions :
-  t -> (src:int -> action:Action.t -> rate:float -> dst:int -> unit) -> unit
-(** Iterate the compressed stream directly — no list, no record
-    allocation. *)
-
-val fold_transitions :
-  t -> ('a -> src:int -> action:Action.t -> rate:float -> dst:int -> 'a) -> 'a -> 'a
-
-val deadlocks : t -> int list
-(** Indices of states with no outgoing transitions. *)
+val lts : t -> Action.t Markov.Lts.t
+(** The labelled transition stream over the explored states, in
+    exploration order (grouped by source). *)
 
 val action_names : t -> string list
 (** Named action types occurring on reachable transitions, sorted.
-    Read from the interned action table: O(#action types). *)
+    Read from the interned label table: O(#action types). *)
 
 val ctmc : t -> Markov.Ctmc.t
-(** The derived CTMC (transition rates between identical state pairs are
-    summed; computed once and cached).  Assembled from the compressed
-    stream via {!Markov.Ctmc.of_grouped} — no coordinate arrays are
-    materialised. *)
-
-val release_derived : t -> unit
-(** Drop every cached derived structure — the CTMC (and its transposed
-    generator), the lump partition, and the materialised transition
-    record lists.  They are rebuilt on demand by the next accessor, so
-    this only trades time for space: callers holding several large
-    spaces at once (the benchmark harness between its sequential and
-    parallel pipelines) use it to keep one pipeline's CSR matrices from
-    inflating the other's peak. *)
+(** [Markov.Lts.ctmc (lts t)]: the derived CTMC, cached. *)
 
 val lump_partition : t -> Markov.Lump.t
 (** Coarsest ordinary lumping of the derived chain that respects the
-    per-action-type exit signature (computed once and cached).  Because
-    classes never mix action signatures, throughput measures on the
-    uniformly disaggregated lumped solution are exact. *)
+    per-action-type exit signature (computed once and cached by the
+    stream).  Because classes never mix action signatures, throughput
+    measures on the uniformly disaggregated lumped solution are exact;
+    the respect key (symmetry orbits, or per-leaf local-state labels)
+    keeps {!local_state_probability} exact as well. *)
 
 val steady_state :
   ?method_:Markov.Steady.method_ ->
@@ -158,18 +129,14 @@ val steady_state :
     same throughputs, exact per-class probabilities.  Chains the
     refinement cannot compress solve directly. *)
 
-val transient : t -> time:float -> float array
-(** Transient distribution starting from the initial state. *)
-
 val throughput : t -> float array -> string -> float
 (** [throughput space pi action] is the steady-state throughput of the
     named action type: the expected number of completions per time
-    unit.  One pass over the compressed stream. *)
+    unit.  Selected from {!Markov.Lts.flux}: one pass over the stream. *)
 
 val throughputs : t -> float array -> (string * float) list
 (** Throughput of every reachable action type, sorted by name.  One
-    pass over the compressed stream for all action types together (the seed
-    implementation rescanned the transition list once per name). *)
+    pass over the stream for all action types together. *)
 
 val local_state_probability : t -> float array -> leaf:int -> label:string -> float
 (** Probability that the given leaf component is in the local state with

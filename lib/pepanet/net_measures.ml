@@ -1,22 +1,24 @@
-(* All throughput-style measures select from [Net_statespace.label_flux]:
-   one pass over the flat transition columns computes the flux of every
-   interned label, and each query is then O(#labels) instead of a fresh
-   scan of the whole transition list. *)
+(* All throughput-style measures select from [Markov.Lts.flux]: one
+   pass over the transition stream computes the flux of every interned
+   label, and each query is then O(#labels) instead of a fresh scan of
+   the transitions. *)
 
 let label_matches_action name = function
   | Net_semantics.Local action -> Pepa.Action.name action = Some name
   | Net_semantics.Fire { action; _ } -> action = name
 
 let throughput space pi name =
-  let labels = Net_statespace.labels space in
-  let flux = Net_statespace.label_flux space pi in
+  let lts = Net_statespace.lts space in
+  let labels = Markov.Lts.labels lts in
+  let flux = Markov.Lts.flux lts pi in
   let total = ref 0.0 in
   Array.iteri (fun id l -> if label_matches_action name l then total := !total +. flux.(id)) labels;
   !total
 
 let throughputs space pi =
-  let labels = Net_statespace.labels space in
-  let flux = Net_statespace.label_flux space pi in
+  let lts = Net_statespace.lts space in
+  let labels = Markov.Lts.labels lts in
+  let flux = Markov.Lts.flux lts pi in
   let totals = Hashtbl.create 16 in
   Array.iteri
     (fun id l ->
@@ -36,8 +38,9 @@ let throughputs space pi =
     (Hashtbl.fold (fun name total acc -> (name, total) :: acc) totals [])
 
 let firing_throughput space pi transition_name =
-  let labels = Net_statespace.labels space in
-  let flux = Net_statespace.label_flux space pi in
+  let lts = Net_statespace.lts space in
+  let labels = Markov.Lts.labels lts in
+  let flux = Markov.Lts.flux lts pi in
   let total = ref 0.0 in
   Array.iteri
     (fun id l ->

@@ -1,6 +1,10 @@
 (** Performance measures over a solved PEPA net: the quantities
     Choreographer reflects back into UML models. *)
 
+val label_matches_action : string -> Net_semantics.label -> bool
+(** Whether a transition label is an occurrence of the named action
+    type: a local action of that name or a firing of it. *)
+
 val throughput : Net_statespace.t -> float array -> string -> float
 (** Steady-state throughput of a named action type, counting both local
     occurrences and net-level firings of that type. *)

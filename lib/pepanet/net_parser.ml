@@ -20,11 +20,7 @@ let rec parse_context st =
 
 and parse_context_atom st =
   match P.stream_peek st with
-  | P.Lparen ->
-      P.stream_advance st;
-      let ctx = parse_context st in
-      P.stream_expect st P.Rparen "')'";
-      ctx
+  | P.Lparen -> P.stream_parenthesised st parse_context
   | P.Uident name -> (
       P.stream_advance st;
       match P.stream_peek st with

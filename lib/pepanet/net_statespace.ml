@@ -1,31 +1,10 @@
-type transition = { src : int; label : Net_semantics.label; rate : float; dst : int }
-
-(* Same compressed stream layout as [Pepa.Statespace]: [row_start] is
-   the src column's run-length encoding (no src column is stored), and
-   each transition packs destination and interned label id into one
-   word next to its rate.  The list-returning API is kept as a cached
-   compatibility layer. *)
+(* The explored markings and the one labelled transition stream derived
+   from them ([Markov.Lts]), labelled by local action or firing. *)
 type t = {
   compiled : Net_compile.t;
   markings : Marking.t array;
-  tr_pack : int array;  (* dst in the low bits, interned label id above *)
-  tr_rate : float array;
-  labels : Net_semantics.label array;  (* interned label table *)
-  row_start : int array;  (* CSR over transitions grouped by src; length n_markings + 1 *)
-  mutable transition_cache : transition list option;
-  mutable outgoing_cache : transition list array option;
-  mutable chain : Markov.Ctmc.t option;
-  mutable lump : Markov.Lump.t option;
+  lts : Net_semantics.label Markov.Lts.t;
 }
-
-(* Same packing split as [Pepa.Statespace]: destination in the low 48
-   bits, label id above, guarded at intern time. *)
-let pack_dst_bits = 48
-let pack_dst_mask = (1 lsl pack_dst_bits) - 1
-let max_interned_labels = 1 lsl (62 - pack_dst_bits)
-let pack ~dst ~label = (label lsl pack_dst_bits) lor dst
-let tr_dst t k = t.tr_pack.(k) land pack_dst_mask
-let tr_label_id t k = t.tr_pack.(k) lsr pack_dst_bits
 
 exception Too_many_markings of int
 exception Passive_firing of { marking : string; label : string }
@@ -195,54 +174,7 @@ let build ?(max_markings = 1_000_000) ?(symmetry = false) compiled =
         incr n_markings;
         i
   in
-  (* Compressed transition buffers, as in [Pepa.Statespace]: sources
-     arrive in nondecreasing order, so the src column reduces to
-     per-source counts recorded at emission. *)
-  let tr_cap = ref 4096 in
-  let tr_pack = ref (Array.make !tr_cap 0) in
-  let tr_rate = ref (Array.make !tr_cap 0.0) in
-  let n_transitions = ref 0 in
-  let rc_cap = ref 4096 in
-  let row_count = ref (Array.make !rc_cap 0) in
-  let push src dst rate label =
-    if !n_transitions = !tr_cap then begin
-      let grow_int a = let b = Array.make (2 * !tr_cap) 0 in Array.blit a 0 b 0 !tr_cap; b in
-      let grow_float a = let b = Array.make (2 * !tr_cap) 0.0 in Array.blit a 0 b 0 !tr_cap; b in
-      tr_pack := grow_int !tr_pack;
-      tr_rate := grow_float !tr_rate;
-      tr_cap := 2 * !tr_cap
-    end;
-    if src >= !rc_cap then begin
-      let cap = ref (2 * !rc_cap) in
-      while src >= !cap do
-        cap := 2 * !cap
-      done;
-      let b = Array.make !cap 0 in
-      Array.blit !row_count 0 b 0 !rc_cap;
-      row_count := b;
-      rc_cap := !cap
-    end;
-    !row_count.(src) <- !row_count.(src) + 1;
-    let k = !n_transitions in
-    !tr_pack.(k) <- pack ~dst ~label;
-    !tr_rate.(k) <- rate;
-    incr n_transitions
-  in
-  let label_ids = Hashtbl.create 16 in
-  let label_list = ref [] in
-  let n_labels = ref 0 in
-  let intern_label l =
-    match Hashtbl.find_opt label_ids l with
-    | Some id -> id
-    | None ->
-        if !n_labels >= max_interned_labels then
-          invalid_arg "Net_statespace.build: label alphabet exceeds the packed budget";
-        let id = !n_labels in
-        Hashtbl.add label_ids l id;
-        label_list := l :: !label_list;
-        incr n_labels;
-        id
-  in
+  let stream = Markov.Lts.builder () in
   ignore (intern (canonical (Marking.initial compiled)));
   let next = ref 0 in
   while !next < !n_markings do
@@ -251,7 +183,9 @@ let build ?(max_markings = 1_000_000) ?(symmetry = false) compiled =
       Obs.Metrics.set Pepa.Statespace.frontier_states (float_of_int (!n_markings - src));
       if src > 0 && src mod progress_every = 0 then
         Obs.Log.progress ~stage:"net_statespace.build" ~count:src
-          ~detail:(Printf.sprintf "%d discovered, %d transitions" !n_markings !n_transitions)
+          ~detail:
+            (Printf.sprintf "%d discovered, %d transitions" !n_markings
+               (Markov.Lts.added stream))
     end;
     let marking = !markings.(src) in
     List.iter
@@ -268,19 +202,14 @@ let build ?(max_markings = 1_000_000) ?(symmetry = false) compiled =
                    })
         in
         let dst = intern (canonical (Net_semantics.apply marking move.Net_semantics.updates)) in
-        push src dst rate (intern_label move.Net_semantics.label))
+        Markov.Lts.add stream ~src ~dst ~rate move.Net_semantics.label)
       (Net_semantics.moves compiled marking);
     incr next
   done;
   let explored_markings = Array.sub !markings 0 !n_markings in
   let n = Array.length explored_markings in
-  let count = !n_transitions in
-  let tr_pack = Array.sub !tr_pack 0 count in
-  let tr_rate = Array.sub !tr_rate 0 count in
-  let row_start = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    row_start.(i + 1) <- row_start.(i) + (if i < !rc_cap then !row_count.(i) else 0)
-  done;
+  let lts = Markov.Lts.finish stream ~n_states:n in
+  let count = Markov.Lts.n_transitions lts in
   if obs_on then begin
     Obs.Metrics.add Pepa.Statespace.states_explored n;
     Obs.Metrics.add Pepa.Statespace.transitions_emitted count;
@@ -295,18 +224,7 @@ let build ?(max_markings = 1_000_000) ?(symmetry = false) compiled =
       Obs.Span.add_int span "canonical_hits" !hits
     end
   end;
-  {
-    compiled;
-    markings = explored_markings;
-    tr_pack;
-    tr_rate;
-    labels = Array.of_list (List.rev !label_list);
-    row_start;
-    transition_cache = None;
-    outgoing_cache = None;
-    chain = None;
-    lump = None;
-  })
+  { compiled; markings = explored_markings; lts })
 
 let of_string ?max_markings ?symmetry src =
   build ?max_markings ?symmetry (Net_compile.of_string src)
@@ -315,90 +233,12 @@ let of_file ?max_markings ?symmetry path =
   build ?max_markings ?symmetry (Net_compile.of_file path)
 
 let compiled t = t.compiled
+let lts t = t.lts
 let n_markings t = Array.length t.markings
-let n_transitions t = Array.length t.tr_pack
+let n_transitions t = Markov.Lts.n_transitions t.lts
 let marking t i = t.markings.(i)
 let marking_label t i = Marking.label t.compiled t.markings.(i)
 let initial_index _ = 0
-
-(* The source of transition [k] is implicit in [row_start]; record
-   consumers all iterate by row, so it is threaded in. *)
-let transition_record t ~src k =
-  {
-    src;
-    label = t.labels.(tr_label_id t k);
-    rate = t.tr_rate.(k);
-    dst = tr_dst t k;
-  }
-
-let iter_transitions t f =
-  for s = 0 to n_markings t - 1 do
-    for k = t.row_start.(s) to t.row_start.(s + 1) - 1 do
-      f ~src:s ~label:t.labels.(tr_label_id t k) ~rate:t.tr_rate.(k) ~dst:(tr_dst t k)
-    done
-  done
-
-let transitions t =
-  match t.transition_cache with
-  | Some l -> l
-  | None ->
-      let acc = ref [] in
-      for s = n_markings t - 1 downto 0 do
-        for k = t.row_start.(s + 1) - 1 downto t.row_start.(s) do
-          acc := transition_record t ~src:s k :: !acc
-        done
-      done;
-      t.transition_cache <- Some !acc;
-      !acc
-
-let transitions_from t i =
-  match t.outgoing_cache with
-  | Some rows -> rows.(i)
-  | None ->
-      let rows =
-        Array.init (n_markings t) (fun s ->
-            List.init
-              (t.row_start.(s + 1) - t.row_start.(s))
-              (fun k -> transition_record t ~src:s (t.row_start.(s) + k)))
-      in
-      t.outgoing_cache <- Some rows;
-      rows.(i)
-
-let deadlocks t =
-  let result = ref [] in
-  for i = n_markings t - 1 downto 0 do
-    if t.row_start.(i) = t.row_start.(i + 1) then result := i :: !result
-  done;
-  !result
-
-let labels t = t.labels
-
-let label_flux t pi =
-  let flux = Array.make (Array.length t.labels) 0.0 in
-  for s = 0 to n_markings t - 1 do
-    for k = t.row_start.(s) to t.row_start.(s + 1) - 1 do
-      let id = tr_label_id t k in
-      flux.(id) <- flux.(id) +. (pi.(s) *. t.tr_rate.(k))
-    done
-  done;
-  flux
-
-let ctmc t =
-  match t.chain with
-  | Some c -> c
-  | None ->
-      let c =
-        Markov.Ctmc.of_grouped ~n:(n_markings t) ~row_start:t.row_start ~dst:(tr_dst t)
-          ~rate:(fun k -> t.tr_rate.(k))
-      in
-      t.chain <- Some c;
-      c
-
-let release_derived t =
-  t.transition_cache <- None;
-  t.outgoing_cache <- None;
-  t.chain <- None;
-  t.lump <- None
 
 (* Net measures go all the way down to individual markings
    ([marking_probabilities], [Marking.label] in queries), so the only
@@ -426,53 +266,11 @@ let lump_respect t =
           id)
     t.markings
 
-(* The partition refinement still speaks flat coordinate columns;
-   expanding the compressed stream here is transient and confined to
-   aggregation requests. *)
-let transition_columns t =
-  let m = n_transitions t in
-  let src = Array.make m 0 in
-  let dst = Array.make m 0 in
-  let label = Array.make m 0 in
-  for s = 0 to n_markings t - 1 do
-    for k = t.row_start.(s) to t.row_start.(s + 1) - 1 do
-      src.(k) <- s;
-      dst.(k) <- tr_dst t k;
-      label.(k) <- tr_label_id t k
-    done
-  done;
-  (src, dst, label)
-
-let lump_partition t =
-  match t.lump with
-  | Some part -> part
-  | None ->
-      let src, dst, label = transition_columns t in
-      let part =
-        Markov.Lump.refine ~respect:(lump_respect t) ~n:(n_markings t) ~src ~dst
-          ~rate:t.tr_rate ~label ()
-      in
-      t.lump <- Some part;
-      part
+let lump_partition t = Markov.Lts.lump_partition t.lts ~respect:(fun () -> lump_respect t)
 
 let steady_state ?method_ ?options ?(lump = false) ?jobs t =
-  if not lump then Markov.Steady.solve ?method_ ?options ?jobs (ctmc t)
-  else begin
-    let part = lump_partition t in
-    if part.Markov.Lump.n_classes >= n_markings t then
-      Markov.Steady.solve ?method_ ?options ?jobs (ctmc t)
-    else begin
-      let src, dst, _ = transition_columns t in
-      let quotient = Markov.Lump.quotient_ctmc part ~src ~dst ~rate:t.tr_rate in
-      Markov.Lump.disaggregate part (Markov.Steady.solve ?method_ ?options ?jobs quotient)
-    end
-  end
-
-let transient t ~time =
-  let n = n_markings t in
-  let initial = Array.make n 0.0 in
-  initial.(0) <- 1.0;
-  Markov.Transient.probabilities (ctmc t) ~initial ~t:time
+  let partition = if lump then Some (lump_partition t) else None in
+  Markov.Lts.steady_state ?method_ ?options ?jobs ?partition t.lts
 
 let action_names t =
   List.sort_uniq String.compare
@@ -481,9 +279,9 @@ let action_names t =
          match label with
          | Net_semantics.Local action -> Pepa.Action.name action
          | Net_semantics.Fire { action; _ } -> Some action)
-       (Array.to_list t.labels))
+       (Array.to_list (Markov.Lts.labels t.lts)))
 
 let pp_summary fmt t =
   Format.fprintf fmt "%d markings, %d transitions, %d deadlock marking(s)" (n_markings t)
     (n_transitions t)
-    (List.length (deadlocks t))
+    (List.length (Markov.Lts.deadlocks t.lts))

@@ -1,19 +1,13 @@
 (** Reachability graph of a PEPA net and its derived CTMC, treating each
     marking as a distinct state (as in the paper's Section 2.2).
 
-    Transitions are stored as a compressed grouped stream (the
-    row-boundary array encodes the src column; destination and interned
-    label id share one word next to the rate — two words per
-    transition); the list-returning accessors are a cached
-    compatibility layer over it, and {!Net_measures} works straight off
-    the stream through {!label_flux}. *)
-
-type transition = {
-  src : int;
-  label : Net_semantics.label;
-  rate : float;
-  dst : int;
-}
+    The transitions form one {!Markov.Lts} stream labelled by local
+    action or firing ({!lts}); the CTMC, lumping, deadlocks, label
+    fluxes ({!Net_measures} selects from them) and transient solutions
+    are all read off it.  This module keeps what only a marking graph
+    knows: the explored markings, the interchangeable-cell symmetry,
+    and the respect key that keeps lumped solutions exact per
+    marking. *)
 
 type t
 
@@ -44,40 +38,20 @@ val compiled : t -> Net_compile.t
 val n_markings : t -> int
 
 val n_transitions : t -> int
-(** O(1). *)
+(** [Markov.Lts.n_transitions (lts t)]: O(1). *)
 
 val marking : t -> int -> Marking.t
 val marking_label : t -> int -> string
 val initial_index : t -> int
-val transitions : t -> transition list
-val transitions_from : t -> int -> transition list
 
-val iter_transitions :
-  t -> (src:int -> label:Net_semantics.label -> rate:float -> dst:int -> unit) -> unit
-(** Iterate the compressed stream directly — no list, no record
-    allocation. *)
-
-val deadlocks : t -> int list
-
-val labels : t -> Net_semantics.label array
-(** The interned label table.  Transition labels index into it; do not
-    mutate. *)
-
-val label_flux : t -> float array -> float array
-(** [label_flux space pi] is the steady-state flux [sum pi(src) * rate]
-    of every interned label, indexed like {!labels}.  One pass over the
-    compressed stream; the measure functions select from it instead of
-    rescanning the transitions per query. *)
-
-val ctmc : t -> Markov.Ctmc.t
-
-val release_derived : t -> unit
-(** Drop the cached CTMC, lump partition and materialised record lists;
-    rebuilt on demand — see {!Pepa.Statespace.release_derived}. *)
+val lts : t -> Net_semantics.label Markov.Lts.t
+(** The labelled transition stream over the explored markings, in
+    exploration order (grouped by source). *)
 
 val lump_partition : t -> Markov.Lump.t
 (** Coarsest ordinary lumping of the marking chain respecting the
-    per-label exit signature (computed once and cached); see
+    per-label exit signature (computed once and cached by the stream),
+    with each marking's canonical form as the respect key; see
     {!Pepa.Statespace.lump_partition}. *)
 
 val steady_state :
@@ -90,8 +64,6 @@ val steady_state :
 (** Steady-state distribution over the markings; with [~lump:true] the
     solve runs on the lumped quotient and is disaggregated uniformly,
     preserving every label flux exactly. *)
-
-val transient : t -> time:float -> float array
 
 val action_names : t -> string list
 (** All named action types on reachable transitions, local and firing,

@@ -192,6 +192,6 @@ let time_to_reach ~place ~token =
         = Some place_index)
       (List.init (Pepanet.Net_statespace.n_markings space) Fun.id)
   in
-  Markov.Passage.mean (Pepanet.Net_statespace.ctmc space)
+  Markov.Passage.mean (Markov.Lts.ctmc (Pepanet.Net_statespace.lts space))
     ~sources:[ (Pepanet.Net_statespace.initial_index space, 1.0) ]
     ~targets

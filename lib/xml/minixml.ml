@@ -16,9 +16,15 @@ type cursor = {
   mutable pos : int;
   mutable line : int;
   mutable col : int;
+  mutable depth : int;  (* elements open at the cursor *)
 }
 
-let cursor_of_string src = { src; pos = 0; line = 1; col = 1 }
+let cursor_of_string src = { src; pos = 0; line = 1; col = 1; depth = 0 }
+
+(* The parser recurses once per open element, so nesting is capped (at
+   the depth [Obs.Json] allows) to keep a hostile document from
+   overflowing the stack. *)
+let max_depth = 512
 
 let fail cur message = raise (Parse_error { line = cur.line; col = cur.col; message })
 
@@ -226,6 +232,8 @@ let rec parse_node cur =
     Some (Pi (target, body))
   end
   else begin
+    if cur.depth >= max_depth then
+      fail cur (Printf.sprintf "elements nested deeper than %d levels" max_depth);
     expect_string cur "<";
     let tag = parse_name cur in
     let attrs = parse_attributes cur in
@@ -236,7 +244,9 @@ let rec parse_node cur =
     end
     else begin
       expect_string cur ">";
+      cur.depth <- cur.depth + 1;
       let children = parse_children cur tag in
+      cur.depth <- cur.depth - 1;
       Some (Element (tag, attrs, children))
     end
   end

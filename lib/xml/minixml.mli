@@ -21,7 +21,9 @@ exception Parse_error of { line : int; col : int; message : string }
 
 val parse_string : string -> t
 (** [parse_string s] parses the single root element of the document [s].
-    Raises {!Parse_error} on malformed input. *)
+    Raises {!Parse_error} on malformed input, including elements nested
+    more than 512 deep (reported at the first element past the limit,
+    so a hostile document cannot exhaust the stack). *)
 
 val parse_file : string -> t
 (** [parse_file path] reads and parses the document stored at [path]. *)

@@ -350,6 +350,71 @@ let prop_symmetry_exact =
         (fun (a, va) (b, vb) -> a = b && abs_float (va -. vb) <= 1e-9)
         th_full th_red)
 
+(* ------------------------------------------------------------------ *)
+(* Random small PEPA terms                                             *)
+(* ------------------------------------------------------------------ *)
+
+let gen_model =
+  let open QCheck2.Gen in
+  let action = oneofl [ "a"; "b"; "c" ] in
+  let rate = 1 -- 40 >|= fun r -> float_of_int r /. 10.0 in
+  let component name =
+    list_size (1 -- 3) (pair action rate) >|= fun steps ->
+    Printf.sprintf "%s = %s%s;" name
+      (String.concat ""
+         (List.map (fun (a, r) -> Printf.sprintf "(%s, %.1f)." a r) steps))
+      name
+  in
+  let coop = oneofl [ "<>"; "<a>"; "<b>"; "<a, b>"; "<a, b, c>" ] in
+  let replicas = 1 -- 3 in
+  component "P" >>= fun p ->
+  component "Q" >>= fun q ->
+  coop >>= fun set ->
+  replicas >>= fun np ->
+  replicas >|= fun nq ->
+  Printf.sprintf "%s\n%s\nsystem (P[%d]) %s (Q[%d]);" p q np set nq
+
+let throughputs_agree plain other =
+  List.length other = List.length plain
+  && List.for_all2 (fun (a, x) (b, y) -> a = b && Float.abs (x -. y) <= 1e-9) plain other
+
+(* Every aggregation mode must report the plain solve's throughputs:
+   symmetry and lumping only merge states no throughput can tell apart.
+   Terms the plain solve rejects (passive escapes, deadlocked chains)
+   are discarded. *)
+let prop_random_terms_aggregate_exactly =
+  QCheck2.Test.make ~name:"random terms aggregate exactly" ~count:60
+    ~print:(fun s -> s)
+    gen_model
+    (fun source ->
+      let throughputs aggregate =
+        (Choreographer.Workbench.analyse_pepa_string ~aggregate source)
+          .Choreographer.Workbench.results.Choreographer.Results.throughputs
+      in
+      match throughputs Markov.Lump.No_agg with
+      | exception Choreographer.Workbench.Analysis_error _ -> QCheck2.assume_fail ()
+      | plain ->
+          List.for_all
+            (fun aggregate -> throughputs_agree plain (throughputs aggregate))
+            Markov.Lump.[ Symmetry; Lumping; Both ])
+
+(* Strong equivalence on the same terms: the coarsest lumping with no
+   respect key, its quotient solved and disaggregated uniformly, still
+   reports every throughput of the plain solve, because its classes
+   never mix per-action exit signatures. *)
+let prop_strong_lumping_keeps_throughputs =
+  QCheck2.Test.make ~name:"strong lumping keeps throughputs" ~count:60
+    ~print:(fun s -> s)
+    gen_model
+    (fun source ->
+      match Choreographer.Workbench.analyse_pepa_string source with
+      | exception Choreographer.Workbench.Analysis_error _ -> QCheck2.assume_fail ()
+      | analysis ->
+          let space = analysis.Choreographer.Workbench.space in
+          let plain = analysis.Choreographer.Workbench.results.Choreographer.Results.throughputs in
+          let _, _, pi = Test_equivalence.quotient_solve space in
+          throughputs_agree plain (Pepa.Statespace.throughputs space pi))
+
 let suite =
   [
     Alcotest.test_case "symmetry collapses replicas" `Quick test_symmetry_collapses_replicas;
@@ -367,4 +432,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_refinement_is_lumpable;
     QCheck_alcotest.to_alcotest prop_lumped_solution_aggregates;
     QCheck_alcotest.to_alcotest prop_symmetry_exact;
+    QCheck_alcotest.to_alcotest prop_random_terms_aggregate_exactly;
+    QCheck_alcotest.to_alcotest prop_strong_lumping_keeps_throughputs;
   ]

@@ -28,7 +28,7 @@ let test_single_state_model () =
 let test_stop_model () =
   let space = Pepa.Statespace.of_string "P = Stop; system P;" in
   Alcotest.(check int) "one dead state" 1 (Pepa.Statespace.n_states space);
-  Alcotest.(check (list int)) "dead" [ 0 ] (Pepa.Statespace.deadlocks space)
+  Alcotest.(check (list int)) "dead" [ 0 ] (Markov.Lts.deadlocks (Pepa.Statespace.lts space))
 
 let test_analysis_negative_cases () =
   let space = Pepa.Statespace.of_string "P = (a, 1.0).(b, 1.0).P;" in

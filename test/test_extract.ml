@@ -143,7 +143,7 @@ let test_absorb_mode () =
   let compiled = Pepanet.Net_compile.compile ex.E.net in
   let space = Pepanet.Net_statespace.build compiled in
   Alcotest.(check bool) "terminating diagram deadlocks" true
-    (Pepanet.Net_statespace.deadlocks space <> []);
+    (Markov.Lts.deadlocks (Pepanet.Net_statespace.lts space) <> []);
   Alcotest.(check int) "no synthetic transitions" 1 (List.length ex.E.net.N.transitions)
 
 let test_extraction_errors () =

@@ -392,13 +392,14 @@ let test_three_way_roaming () =
   (* Jumps that carry transmit, for the simulation's counting reward.
      The pairs must identify the action uniquely. *)
   let pairs = Hashtbl.create 64 in
-  Pepa.Statespace.iter_transitions space (fun ~src ~action ~rate:_ ~dst ->
-      if Pepa.Action.equal action (Pepa.Action.act "transmit") then
+  let lts = Pepa.Statespace.lts space in
+  Markov.Lts.iter lts (fun ~src ~label ~rate:_ ~dst ->
+      if Pepa.Action.equal label (Pepa.Action.act "transmit") then
         Hashtbl.replace pairs (src, dst) true);
-  Pepa.Statespace.iter_transitions space (fun ~src ~action ~rate:_ ~dst ->
+  Markov.Lts.iter lts (fun ~src ~label ~rate:_ ~dst ->
       if
         Hashtbl.mem pairs (src, dst)
-        && not (Pepa.Action.equal action (Pepa.Action.act "transmit"))
+        && not (Pepa.Action.equal label (Pepa.Action.act "transmit"))
       then Alcotest.fail "transmit jumps are not uniquely identified");
   let chain = Pepa.Statespace.ctmc space in
   let rng = Markov.Simulate.Rng.create ~seed:20260806L in

@@ -22,13 +22,15 @@ let replicated_model n =
 let scenario_chains () =
   [
     ( "instant message",
-      Pepanet.Net_statespace.ctmc
-        (Pepanet.Net_statespace.of_string Scenarios.Instant_message.pepanet_source) );
+      Markov.Lts.ctmc
+        (Pepanet.Net_statespace.lts
+           (Pepanet.Net_statespace.of_string Scenarios.Instant_message.pepanet_source)) );
     ( "pda handover",
-      Pepanet.Net_statespace.ctmc
-        (Pepanet.Net_statespace.build
-           (Pepanet.Net_compile.compile
-              (Scenarios.Pda.extraction ()).Extract.Ad_to_pepanet.net)) );
+      Markov.Lts.ctmc
+        (Pepanet.Net_statespace.lts
+           (Pepanet.Net_statespace.build
+              (Pepanet.Net_compile.compile
+                 (Scenarios.Pda.extraction ()).Extract.Ad_to_pepanet.net))) );
     ( "replicated processes (E6)",
       Pepa.Statespace.ctmc (Pepa.Statespace.of_string (replicated_model 6)) );
     ( "tandem queues",

@@ -39,6 +39,7 @@ let () =
       ("assets", Test_assets.suite);
       ("edge-cases", Test_edge_cases.suite);
       ("surface", Test_surface.suite);
+      ("cli-output", Test_cli_output.suite);
       (* Last: Server.run flips the process-wide telemetry switch on. *)
       ("service", Test_service.suite);
     ]

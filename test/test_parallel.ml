@@ -1,8 +1,7 @@
 (* The multicore engine.  Two layers under test: the [Par] primitives
    (pool, parallel_for, deterministic sums) and the one pooled stage
    built on them — power sweeps must reproduce the sequential steady
-   vector at any job count.  Random PEPA terms also check that every
-   aggregation mode keeps the plain solve's throughputs. *)
+   vector at any job count. *)
 
 let jobs = 4
 
@@ -98,55 +97,6 @@ let test_large_model_parallel_paths () =
   Alcotest.(check bool) "gauss-seidel independent of jobs" true (pi_seq = pi_par)
 
 (* ------------------------------------------------------------------ *)
-(* Random small PEPA terms                                             *)
-(* ------------------------------------------------------------------ *)
-
-let gen_model =
-  let open QCheck2.Gen in
-  let action = oneofl [ "a"; "b"; "c" ] in
-  let rate = 1 -- 40 >|= fun r -> float_of_int r /. 10.0 in
-  let component name =
-    list_size (1 -- 3) (pair action rate) >|= fun steps ->
-    Printf.sprintf "%s = %s%s;" name
-      (String.concat ""
-         (List.map (fun (a, r) -> Printf.sprintf "(%s, %.1f)." a r) steps))
-      name
-  in
-  let coop = oneofl [ "<>"; "<a>"; "<b>"; "<a, b>"; "<a, b, c>" ] in
-  let replicas = 1 -- 3 in
-  component "P" >>= fun p ->
-  component "Q" >>= fun q ->
-  coop >>= fun set ->
-  replicas >>= fun np ->
-  replicas >|= fun nq ->
-  Printf.sprintf "%s\n%s\nsystem (P[%d]) %s (Q[%d]);" p q np set nq
-
-(* Every aggregation mode must report the plain solve's throughputs:
-   symmetry and lumping only merge states no throughput can tell apart.
-   Terms the plain solve rejects (passive escapes, deadlocked chains)
-   are discarded. *)
-let prop_random_terms_aggregate_exactly =
-  QCheck2.Test.make ~name:"random terms aggregate exactly" ~count:60
-    ~print:(fun s -> s)
-    gen_model
-    (fun source ->
-      let throughputs aggregate =
-        (Choreographer.Workbench.analyse_pepa_string ~aggregate source)
-          .Choreographer.Workbench.results.Choreographer.Results.throughputs
-      in
-      match throughputs Markov.Lump.No_agg with
-      | exception Choreographer.Workbench.Analysis_error _ -> QCheck2.assume_fail ()
-      | plain ->
-          List.for_all
-            (fun aggregate ->
-              let reduced = throughputs aggregate in
-              List.length reduced = List.length plain
-              && List.for_all2
-                   (fun (a, x) (b, y) -> a = b && Float.abs (x -. y) <= 1e-9)
-                   plain reduced)
-            Markov.Lump.[ Symmetry; Lumping; Both ])
-
-(* ------------------------------------------------------------------ *)
 (* CLI validation                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -178,6 +128,5 @@ let suite =
     Alcotest.test_case "parallel sums are deterministic" `Quick test_sum_floats_deterministic;
     Alcotest.test_case "worker exceptions propagate" `Quick test_pool_exception;
     Alcotest.test_case "large-model parallel paths" `Slow test_large_model_parallel_paths;
-    QCheck_alcotest.to_alcotest prop_random_terms_aggregate_exactly;
     Alcotest.test_case "--jobs validation" `Quick test_jobs_cli_validation;
   ]

@@ -82,6 +82,38 @@ let test_errors () =
   in
   Alcotest.(check bool) "position reported" true positioned
 
+(* Parentheses nest at most 512 deep, counted across process terms,
+   rate expressions and net place contexts; past that the parser
+   reports the first excess parenthesis rather than recursing on. *)
+let test_nesting_cap () =
+  let nested k inner = String.make k '(' ^ inner ^ String.make k ')' in
+  let rejected what ~line ~col parse =
+    match parse () with
+    | exception (P.Parse_error { line = l; col = c; message }
+                | Pepanet.Net_parser.Parse_error { line = l; col = c; message }) ->
+        Alcotest.(check (pair int int)) (what ^ ": position") (line, col) (l, c);
+        Alcotest.(check bool) (what ^ ": " ^ message) true
+          (String.starts_with ~prefix:"parentheses nested deeper than 512" message)
+    | _ -> Alcotest.failf "%s: expected a parse error" what
+  in
+  (* The system equation's first parenthesis sits at line 2, column 8. *)
+  let model k = "P = (a, 1.0).P;\nsystem " ^ nested k "P" ^ ";" in
+  ignore (P.model_of_string (model 512));
+  rejected "513 process levels" ~line:2 ~col:520 (fun () -> P.model_of_string (model 513));
+  rejected "200,000 process levels" ~line:2 ~col:520 (fun () ->
+      P.model_of_string (model 200_000));
+  ignore (P.rate_expr_of_string (nested 512 "1.0"));
+  rejected "513 rate levels" ~line:1 ~col:513 (fun () ->
+      P.rate_expr_of_string (nested 513 "1.0"));
+  (* A prefix's own parenthesis counts as a level for its rate. *)
+  ignore (P.expr_of_string ("(a, " ^ nested 511 "1.0" ^ ").P"));
+  rejected "prefix rate past the cap" ~line:1 ~col:516 (fun () ->
+      P.expr_of_string ("(a, " ^ nested 512 "1.0" ^ ").P"));
+  let net k = "Tok = (a, 1.0).Tok;\ntoken Tok;\nplace P1 = " ^ nested k "Tok[Tok]" ^ ";" in
+  ignore (Pepanet.Net_parser.net_of_string (net 512));
+  rejected "513 place-context levels" ~line:3 ~col:524 (fun () ->
+      Pepanet.Net_parser.net_of_string (net 513))
+
 let test_print_parse_hand_cases () =
   let sources =
     [
@@ -152,6 +184,7 @@ let suite =
     Alcotest.test_case "rate expressions" `Quick test_rate_expressions;
     Alcotest.test_case "model structure" `Quick test_model_structure;
     Alcotest.test_case "parse errors" `Quick test_errors;
+    Alcotest.test_case "nesting cap" `Quick test_nesting_cap;
     Alcotest.test_case "print/parse hand cases" `Quick test_print_parse_hand_cases;
     QCheck_alcotest.to_alcotest prop_round_trip;
   ]

@@ -240,7 +240,7 @@ let test_static_cooperation_in_place () =
      token through exactly one read per visit. *)
   let space = NSS.of_string Scenarios.Instant_message.pepanet_source in
   Alcotest.(check int) "8 markings" 8 (NSS.n_markings space);
-  Alcotest.(check (list int)) "deadlock-free" [] (NSS.deadlocks space);
+  Alcotest.(check (list int)) "deadlock-free" [] (Markov.Lts.deadlocks (NSS.lts space));
   let pi = NSS.steady_state space in
   let t = Pepanet.Net_measures.throughput space pi in
   Alcotest.check close "transmit = read (one read per cycle)" (t "read") (t "transmit");
@@ -362,11 +362,11 @@ let prop_ring_nets =
       if m >= k then
         (* A full ring has no vacancy anywhere: the single marking is
            dead (the output rule needs a vacant cell). *)
-        conserved && NSS.n_markings space = 1 && NSS.deadlocks space = [ 0 ]
+        conserved && NSS.n_markings space = 1 && Markov.Lts.deadlocks (NSS.lts space) = [ 0 ]
       else
         conserved
-        && Markov.Ctmc.is_irreducible (NSS.ctmc space)
-        && NSS.deadlocks space = [])
+        && Markov.Ctmc.is_irreducible (Markov.Lts.ctmc (NSS.lts space))
+        && Markov.Lts.deadlocks (NSS.lts space) = [])
 
 
 (* Random small nets built at the AST level: the printer/parser pair
@@ -563,7 +563,7 @@ let test_duplicated_place_in_transition () =
 let test_roaming_scenario () =
   let space = Scenarios.Roaming.space () in
   Alcotest.(check int) "marking count" 960 (NSS.n_markings space);
-  Alcotest.(check (list int)) "deadlock-free" [] (NSS.deadlocks space);
+  Alcotest.(check (list int)) "deadlock-free" [] (Markov.Lts.deadlocks (NSS.lts space));
   let throughputs, locations, occupancy = Scenarios.Roaming.patrol_report () in
   let t name = List.assoc name throughputs in
   Alcotest.check close "probe = hop (one probe per visit)" (t "probe") (t "hop");

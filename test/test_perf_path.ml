@@ -269,18 +269,21 @@ let replicated_model n =
 let scenario_chains () =
   [
     ( "file protocol",
-      Pepanet.Net_statespace.ctmc
-        (Pepanet.Net_statespace.build
-           (Pepanet.Net_compile.compile
-              (Scenarios.File_protocol.extraction ()).Extract.Ad_to_pepanet.net)) );
+      Markov.Lts.ctmc
+        (Pepanet.Net_statespace.lts
+           (Pepanet.Net_statespace.build
+              (Pepanet.Net_compile.compile
+                 (Scenarios.File_protocol.extraction ()).Extract.Ad_to_pepanet.net))) );
     ( "instant message",
-      Pepanet.Net_statespace.ctmc
-        (Pepanet.Net_statespace.of_string Scenarios.Instant_message.pepanet_source) );
+      Markov.Lts.ctmc
+        (Pepanet.Net_statespace.lts
+           (Pepanet.Net_statespace.of_string Scenarios.Instant_message.pepanet_source)) );
     ( "pda handover",
-      Pepanet.Net_statespace.ctmc
-        (Pepanet.Net_statespace.build
-           (Pepanet.Net_compile.compile
-              (Scenarios.Pda.extraction ()).Extract.Ad_to_pepanet.net)) );
+      Markov.Lts.ctmc
+        (Pepanet.Net_statespace.lts
+           (Pepanet.Net_statespace.build
+              (Pepanet.Net_compile.compile
+                 (Scenarios.Pda.extraction ()).Extract.Ad_to_pepanet.net))) );
     ("replicated processes (E6)", Pepa.Statespace.ctmc (Pepa.Statespace.of_string (replicated_model 6)));
   ]
 
@@ -302,49 +305,47 @@ let test_methods_agree_on_scenarios () =
     (scenario_chains ())
 
 (* ------------------------------------------------------------------ *)
-(* Compatibility layer                                                 *)
+(* The transition stream                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_flat_columns_consistent () =
+let test_stream_consistent () =
   let space = Pepa.Statespace.of_string (replicated_model 4) in
-  Alcotest.(check int)
-    "n_transitions is the column length"
-    (List.length (Pepa.Statespace.transitions space))
+  let lts = Pepa.Statespace.lts space in
+  let all = ref [] in
+  Markov.Lts.iter lts (fun ~src ~label ~rate ~dst -> all := (src, label, rate, dst) :: !all);
+  let all = List.rev !all in
+  Alcotest.(check int) "n_transitions is the stream length" (List.length all)
     (Pepa.Statespace.n_transitions space);
-  (* iter_transitions visits exactly the records of the list API. *)
-  let via_iter = ref [] in
-  Pepa.Statespace.iter_transitions space (fun ~src ~action ~rate ~dst ->
-      via_iter := { Pepa.Statespace.src; action; rate; dst } :: !via_iter);
-  Alcotest.(check bool)
-    "iter matches list" true
-    (List.rev !via_iter = Pepa.Statespace.transitions space);
-  (* transitions_from agrees with filtering the full list. *)
-  let all = Pepa.Statespace.transitions space in
+  (* Each row visits exactly its source's slice of the whole stream. *)
   for s = 0 to Pepa.Statespace.n_states space - 1 do
-    let expected = List.filter (fun t -> t.Pepa.Statespace.src = s) all in
+    let row = ref [] in
+    Markov.Lts.iter_row lts s (fun ~label ~rate ~dst -> row := (s, label, rate, dst) :: !row);
     Alcotest.(check bool)
       (Printf.sprintf "outgoing of %d" s)
       true
-      (expected = Pepa.Statespace.transitions_from space s)
+      (List.filter (fun (src, _, _, _) -> src = s) all = List.rev !row)
   done;
-  (* The net layer's flux table matches the record-based accounting. *)
+  (* Source and target sets are the sorted distinct ends of the
+     matching transitions. *)
+  let task (_, label, _, _) = Pepa.Action.equal label (Pepa.Action.act "task") in
+  let ends pick = List.sort_uniq compare (List.map pick (List.filter task all)) in
+  let is_task = Pepa.Action.equal (Pepa.Action.act "task") in
+  Alcotest.(check (list int)) "sources" (ends (fun (s, _, _, _) -> s))
+    (Markov.Lts.sources lts is_task);
+  Alcotest.(check (list int)) "targets" (ends (fun (_, _, _, d) -> d))
+    (Markov.Lts.targets lts is_task);
+  (* The net layer's flux table matches a sum over the stream. *)
   let net = Pepanet.Net_statespace.of_string Scenarios.Instant_message.pepanet_source in
   let pi = Pepanet.Net_statespace.steady_state net in
-  let flux = Pepanet.Net_statespace.label_flux net pi in
-  let labels = Pepanet.Net_statespace.labels net in
+  let lts = Pepanet.Net_statespace.lts net in
+  let flux = Markov.Lts.flux lts pi in
   Array.iteri
     (fun id label ->
-      let expected =
-        List.fold_left
-          (fun acc tr ->
-            if tr.Pepanet.Net_statespace.label = label then
-              acc +. (pi.(tr.Pepanet.Net_statespace.src) *. tr.Pepanet.Net_statespace.rate)
-            else acc)
-          0.0
-          (Pepanet.Net_statespace.transitions net)
-      in
-      Alcotest.check close (Printf.sprintf "flux of label %d" id) expected flux.(id))
-    labels
+      let expected = ref 0.0 in
+      Markov.Lts.iter lts (fun ~src ~label:l ~rate ~dst:_ ->
+          if l = label then expected := !expected +. (pi.(src) *. rate));
+      Alcotest.check close (Printf.sprintf "flux of label %d" id) !expected flux.(id))
+    (Markov.Lts.labels lts)
 
 let suite =
   [
@@ -356,5 +357,5 @@ let suite =
     Alcotest.test_case "decisive first residual check" `Quick test_first_check_decisive;
     Alcotest.test_case "SOR" `Quick test_sor;
     Alcotest.test_case "methods agree on example scenarios" `Quick test_methods_agree_on_scenarios;
-    Alcotest.test_case "flat columns and list API consistent" `Quick test_flat_columns_consistent;
+    Alcotest.test_case "stream rows and flux consistent" `Quick test_stream_consistent;
   ]

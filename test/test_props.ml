@@ -75,7 +75,7 @@ let prop_random_journeys =
       let space = Pepanet.Net_statespace.build compiled in
       let pi = Pepanet.Net_statespace.steady_state space in
       (* liveness and conservation *)
-      Pepanet.Net_statespace.deadlocks space = []
+      Markov.Lts.deadlocks (Pepanet.Net_statespace.lts space) = []
       && List.for_all
            (fun i -> Pepanet.Marking.token_count (Pepanet.Net_statespace.marking space i) = 1)
            (List.init (Pepanet.Net_statespace.n_markings space) Fun.id)

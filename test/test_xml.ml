@@ -53,6 +53,24 @@ let test_errors () =
   in
   Alcotest.(check bool) "error carries position" true position_is_reported
 
+(* Elements nest at most 512 deep; past that the parser reports the
+   first excess element rather than recursing on. *)
+let test_nesting_cap () =
+  let nested k =
+    String.concat "" (List.init k (fun _ -> "<a>")) ^ String.concat "" (List.init k (fun _ -> "</a>"))
+  in
+  ignore (X.parse_string (nested 512));
+  List.iter
+    (fun k ->
+      match X.parse_string (nested k) with
+      | exception X.Parse_error { line; col; message } ->
+          (* The 513th opening tag starts at column 1 + 3 * 512. *)
+          Alcotest.(check (pair int int)) (Printf.sprintf "%d levels: position" k) (1, 1537)
+            (line, col);
+          Alcotest.(check string) "message" "elements nested deeper than 512 levels" message
+      | _ -> Alcotest.failf "%d levels: expected a parse error" k)
+    [ 513; 200_000 ]
+
 let test_print_round_trip () =
   let samples =
     [
@@ -150,6 +168,7 @@ let suite =
     Alcotest.test_case "entities" `Quick test_entities;
     Alcotest.test_case "comments, cdata, doctype, pi" `Quick test_misc_nodes;
     Alcotest.test_case "parse errors" `Quick test_errors;
+    Alcotest.test_case "nesting cap" `Quick test_nesting_cap;
     Alcotest.test_case "print round trip" `Quick test_print_round_trip;
     Alcotest.test_case "mixed content preserved exactly" `Quick test_mixed_content_exact;
     Alcotest.test_case "accessors" `Quick test_accessors;
