@@ -254,11 +254,7 @@ let passage_cmd =
           let sources =
             Pepa.Analysis.states_enabling space action |> List.map (fun s -> (s, 1.0))
           in
-          let targets =
-            Markov.Lts.targets (Pepa.Statespace.lts space) (fun a ->
-                Pepa.Action.equal a (Pepa.Action.act action))
-          in
-          report chain sources targets times action
+          report chain sources (Pepa.Analysis.states_entered_by space action) times action
         end)
   in
   Cmd.v

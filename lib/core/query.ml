@@ -263,10 +263,7 @@ let context_of_pepa (analysis : Workbench.pepa_analysis) =
         else None);
     utilisation = (fun name -> Results.probability results name);
     located = (fun _ _ -> None);
-    reached_by =
-      (fun a ->
-        Markov.Lts.targets (Pepa.Statespace.lts space) (fun action ->
-            Pepa.Action.equal action (Pepa.Action.act a)));
+    reached_by = Pepa.Analysis.states_entered_by space;
   }
 
 let context_of_net (analysis : Workbench.net_analysis) =

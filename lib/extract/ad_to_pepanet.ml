@@ -15,66 +15,66 @@ let fail fmt = Format.kasprintf (fun msg -> raise (Extraction_error msg)) fmt
 
 let action_rate rates action = Uml.Rates_file.rate rates action
 
-let node_kind d id =
-  match A.find_node d id with
+let node_kind ix id =
+  match A.find_node ix id with
   | Some n -> n.A.kind
   | None -> fail "dangling node reference %s" id
 
-let action_name_of d id =
-  match node_kind d id with
+let action_name_of ix id =
+  match node_kind ix id with
   | A.Action { name; _ } -> Names.action_name name
   | _ -> fail "node %s is not an action state" id
 
-let is_move d id =
-  match node_kind d id with A.Action { move; _ } -> move | _ -> false
+let is_move ix id =
+  match node_kind ix id with A.Action { move; _ } -> move | _ -> false
 
 (* Next relevant activities reachable from [id]'s control successors
    without passing another relevant activity; also reports whether a
    final node is reachable the same way. *)
-let nexts d ~relevant ~from_successors_of:id =
+let nexts ix ~relevant ~from_successors_of:id =
   let visited = Hashtbl.create 16 in
   let found = ref [] in
   let reaches_final = ref false in
   let rec probe id =
     if not (Hashtbl.mem visited id) then begin
       Hashtbl.add visited id ();
-      match node_kind d id with
+      match node_kind ix id with
       | A.Action _ when relevant id -> if not (List.mem id !found) then found := id :: !found
       | A.Final -> reaches_final := true
       | A.Action _ | A.Decision | A.Fork | A.Join | A.Initial ->
-          List.iter probe (A.successors d id)
+          List.iter probe (A.successors ix id)
     end
   in
-  List.iter probe (A.successors d id);
+  List.iter probe (A.successors ix id);
   (List.rev !found, !reaches_final)
 
 (* The location an object occupies around an activity: prefer the
    occurrence flowing out of it (the state after), falling back to the
    occurrence flowing in. *)
-let object_location_at d ~obj ~activity =
+let object_location_at ix ~obj ~activity =
   let pick direction =
-    A.objects_of_activity d activity direction
+    A.objects_of_activity ix activity direction
     |> List.find_opt (fun o -> o.A.obj_name = obj)
   in
   match pick A.Out_of with
   | Some o -> o.A.atloc
   | None -> ( match pick A.Into with Some o -> o.A.atloc | None -> None)
 
-let first_recorded_location d obj =
-  match List.find_opt (fun o -> o.A.obj_name = obj) d.A.occurrences with
-  | Some o -> o.A.atloc
-  | None -> None
+(* Membership in a list of ids, by one table probe. *)
+let member ids =
+  let set = Hashtbl.create (List.length ids) in
+  List.iter (fun id -> Hashtbl.replace set id ()) ids;
+  Hashtbl.mem set
 
 (* ------------------------------------------------------------------ *)
 (* Behaviour construction (tokens and static components)                *)
 (* ------------------------------------------------------------------ *)
 
-(* Build the PEPA equations describing the walk over [relevant]
-   activities: one constant per relevant activity plus a root constant.
-   [on_final] supplies the continuation expression used where a final
-   node is reachable. *)
-let build_behaviour d ~relevant_ids ~root_name ~state_const ~rate_var ~on_final =
-  let relevant id = List.mem id relevant_ids in
+(* Build the PEPA equations describing the walk over [relevant_ids]
+   ([relevant] tests membership) from the [initial] node: one constant
+   per relevant activity plus a root constant.  [on_final] supplies the
+   continuation expression used where a final node is reachable. *)
+let build_behaviour ix ~initial ~relevant ~relevant_ids ~root_name ~state_const ~rate_var ~on_final =
   let defs = ref [] in
   let define name body = defs := S.Proc_def (name, body) :: !defs in
   let continuation (targets, reaches_final) ~at =
@@ -88,17 +88,16 @@ let build_behaviour d ~relevant_ids ~root_name ~state_const ~rate_var ~on_final 
   in
   List.iter
     (fun a ->
-      let action = action_name_of d a in
+      let action = action_name_of ix a in
       let body =
         S.Prefix
           ( Pepa.Action.act action,
             S.Rvar (rate_var action),
-            continuation (nexts d ~relevant ~from_successors_of:a) ~at:(Some a) )
+            continuation (nexts ix ~relevant ~from_successors_of:a) ~at:(Some a) )
       in
       define (state_const a) body)
     relevant_ids;
-  let initial = (A.initial_node d).A.node_id in
-  let start_targets, start_final = nexts d ~relevant ~from_successors_of:initial in
+  let start_targets, start_final = nexts ix ~relevant ~from_successors_of:initial in
   if relevant_ids <> [] && start_targets = [] && not start_final then
     fail "no activity of %s is reachable from the initial node" root_name;
   define root_name (continuation (start_targets, start_final) ~at:None);
@@ -108,52 +107,50 @@ let build_behaviour d ~relevant_ids ~root_name ~state_const ~rate_var ~on_final 
    decision, which is only sound when no single walked behaviour has
    activities on two parallel branches — those would wrongly become
    alternatives.  Reject that configuration explicitly. *)
-let check_fork_branches d ~relevant ~subject =
+let check_fork_branches ix ~forks ~relevant ~subject =
   List.iter
     (fun (node : A.node) ->
-      if node.A.kind = A.Fork then begin
-        let branches_with_activity =
-          List.filter
-            (fun successor ->
-              (* Anything relevant reachable down this branch? *)
-              let visited = Hashtbl.create 16 in
-              let rec probe id =
-                if Hashtbl.mem visited id then false
-                else begin
-                  Hashtbl.add visited id ();
-                  match node_kind d id with
-                  | A.Action _ when relevant id -> true
-                  | A.Final -> false
-                  | A.Join -> false (* the fork's scope ends at a join *)
-                  | A.Action _ | A.Decision | A.Fork | A.Initial ->
-                      List.exists probe (A.successors d id)
-                end
-              in
-              probe successor)
-            (A.successors d node.A.node_id)
-        in
-        if List.length branches_with_activity > 1 then
-          fail
-            "%s has activities on %d parallel branches of fork %s; parallel behaviour \
-             within one object is outside the supported activity-diagram subset"
-            subject
-            (List.length branches_with_activity)
-            node.A.node_id
-      end)
-    d.A.nodes
+      let branches_with_activity =
+        List.filter
+          (fun successor ->
+            (* Anything relevant reachable down this branch? *)
+            let visited = Hashtbl.create 16 in
+            let rec probe id =
+              if Hashtbl.mem visited id then false
+              else begin
+                Hashtbl.add visited id ();
+                match node_kind ix id with
+                | A.Action _ when relevant id -> true
+                | A.Final -> false
+                | A.Join -> false (* the fork's scope ends at a join *)
+                | A.Action _ | A.Decision | A.Fork | A.Initial ->
+                    List.exists probe (A.successors ix id)
+              end
+            in
+            probe successor)
+          (A.successors ix node.A.node_id)
+      in
+      if List.length branches_with_activity > 1 then
+        fail
+          "%s has activities on %d parallel branches of fork %s; parallel behaviour \
+           within one object is outside the supported activity-diagram subset"
+          subject
+          (List.length branches_with_activity)
+          node.A.node_id)
+    forks
 
 (* ------------------------------------------------------------------ *)
 (* Location tracking for object-less activities                        *)
 (* ------------------------------------------------------------------ *)
 
-let assign_static_locations d ~mobile ~pinned ~initial_location =
+let assign_static_locations ix ~initial ~mobile ~pinned ~initial_location =
   let table = Hashtbl.create 16 in
   let rec walk id current =
     let current =
-      if is_move d id then
+      if is_move ix id then
         (* The location after a move is where its outgoing object flow
            points. *)
-        match A.objects_of_activity d id A.Out_of with
+        match A.objects_of_activity ix id A.Out_of with
         | o :: _ when o.A.atloc <> None -> o.A.atloc
         | _ -> current
       else current
@@ -164,9 +161,9 @@ let assign_static_locations d ~mobile ~pinned ~initial_location =
           fail "activity %s is reached with conflicting locations" id
     | None ->
         Hashtbl.add table id current;
-        List.iter (fun next -> walk next current) (A.successors d id)
+        List.iter (fun next -> walk next current) (A.successors ix id)
   in
-  walk (A.initial_node d).A.node_id initial_location;
+  walk initial initial_location;
   fun id -> Option.join (Hashtbl.find_opt table id)
 
 (* ------------------------------------------------------------------ *)
@@ -174,62 +171,68 @@ let assign_static_locations d ~mobile ~pinned ~initial_location =
 (* ------------------------------------------------------------------ *)
 
 let extract_untraced ?(rates = Uml.Rates_file.empty) ?(restart = `Cycle) ?(interactions = []) d =
-  A.validate d;
+  let ix = A.index d in
+  let initial = (A.initial_node d).A.node_id in
+  let forks = List.filter (fun (n : A.node) -> n.A.kind = A.Fork) d.A.nodes in
   let locations = A.locations d in
   let mobile = locations <> [] in
   let place_names = Names.Allocator.create Names.constant_name in
   let locations = if mobile then locations else [ "global" ] in
   let place_of_location = List.map (fun l -> (l, Names.Allocator.get place_names l)) locations in
+  let place_table = Hashtbl.of_seq (List.to_seq place_of_location) in
   let place_of l =
-    match List.assoc_opt l place_of_location with
+    match Hashtbl.find_opt place_table l with
     | Some p -> p
     | None -> fail "unknown location %s" l
   in
   let loc_of_object_at ~obj ~activity =
     if mobile then
-      match object_location_at d ~obj ~activity with
+      match object_location_at ix ~obj ~activity with
       | Some l -> l
       | None -> fail "object %s has no atloc at activity %s of a mobile diagram" obj activity
     else "global"
   in
+  let first_recorded_location = Hashtbl.create 16 in
+  List.iter
+    (fun (o : A.occurrence) ->
+      if not (Hashtbl.mem first_recorded_location o.A.obj_name) then
+        Hashtbl.add first_recorded_location o.A.obj_name o.A.atloc)
+    d.A.occurrences;
   let first_loc obj =
     if mobile then
-      match first_recorded_location d obj with
+      match Option.join (Hashtbl.find_opt first_recorded_location obj) with
       | Some l -> l
       | None -> fail "object %s has no recorded location in a mobile diagram" obj
     else "global"
   in
   let objects = A.object_names d in
-  let relevant_of_object =
-    List.map (fun obj -> (obj, A.actions_of_object d obj)) objects
-  in
+  let relevant_of_object = List.map (fun obj -> (obj, A.actions_of_object ix obj)) objects in
   List.iter
     (fun (obj, acts) -> if acts = [] then fail "object %s is associated with no activity" obj)
     relevant_of_object;
+  let relevant_ids_of = Hashtbl.of_seq (List.to_seq relevant_of_object) in
   (* Mangled action name per node (nodes sharing a UML name share the
      PEPA action type, as in Figure 1's two "close" boxes). *)
   let action_nodes = A.action_nodes d in
   let action_of_node =
-    List.map (fun (n : A.node) -> (n.A.node_id, action_name_of d n.A.node_id)) action_nodes
+    List.map (fun (n : A.node) -> (n.A.node_id, action_name_of ix n.A.node_id)) action_nodes
   in
   (* Token definitions. *)
   let token_consts = Names.Allocator.create Names.constant_name in
   let token_of_object =
     List.map (fun obj -> (obj, Names.Allocator.get token_consts ("Tok_" ^ obj))) objects
   in
-  let token_root obj = List.assoc obj token_of_object in
-  let state_allocators =
-    List.map
-      (fun obj ->
-        let alloc =
-          Names.Allocator.create (fun node_id ->
-              Names.constant_name
-                (Printf.sprintf "%s_%s" (token_root obj) (action_name_of d node_id)))
-        in
-        (obj, alloc))
-      objects
-  in
-  let state_const obj node_id = Names.Allocator.get (List.assoc obj state_allocators) node_id in
+  let token_roots = Hashtbl.of_seq (List.to_seq token_of_object) in
+  let token_root obj = Hashtbl.find token_roots obj in
+  let state_allocators = Hashtbl.create 16 in
+  List.iter
+    (fun obj ->
+      Hashtbl.add state_allocators obj
+        (Names.Allocator.create (fun node_id ->
+             Names.constant_name
+               (Printf.sprintf "%s_%s" (token_root obj) (action_name_of ix node_id)))))
+    objects;
+  let state_const obj node_id = Names.Allocator.get (Hashtbl.find state_allocators obj) node_id in
   (* Reset bookkeeping: per object, whether a local reset and/or return
      firings are needed. *)
   let return_transitions = ref [] in
@@ -241,11 +244,10 @@ let extract_untraced ?(rates = Uml.Rates_file.empty) ?(restart = `Cycle) ?(inter
   let token_defs =
     List.concat_map
       (fun obj ->
-        let relevant_ids = List.assoc obj relevant_of_object in
-        check_fork_branches d
-          ~relevant:(fun id -> List.mem id relevant_ids)
-          ~subject:(Printf.sprintf "object %s" obj);
-        List.iter (fun id -> ignore (use_action (action_name_of d id))) relevant_ids;
+        let relevant_ids = Hashtbl.find relevant_ids_of obj in
+        let relevant = member relevant_ids in
+        check_fork_branches ix ~forks ~relevant ~subject:(Printf.sprintf "object %s" obj);
+        List.iter (fun id -> ignore (use_action (action_name_of ix id))) relevant_ids;
         let on_final ~at =
           match restart with
           | `Absorb -> S.Stop
@@ -268,37 +270,32 @@ let extract_untraced ?(rates = Uml.Rates_file.empty) ?(restart = `Cycle) ?(inter
               in
               S.Prefix (Pepa.Action.act action, S.Rvar (Names.rate_name action), S.Var (token_root obj))
         in
-        build_behaviour d ~relevant_ids ~root_name:(token_root obj)
+        build_behaviour ix ~initial ~relevant ~relevant_ids ~root_name:(token_root obj)
           ~state_const:(state_const obj)
           ~rate_var:(fun a -> Names.rate_name (use_action a))
           ~on_final)
       objects
   in
   (* Net transitions from <<move>> activities. *)
-  let object_less =
-    List.filter
-      (fun (n : A.node) ->
-        not (List.exists (fun (_, acts) -> List.mem n.A.node_id acts) relevant_of_object))
-      action_nodes
-  in
+  let associated = member (List.concat_map snd relevant_of_object) in
+  let object_less = List.filter (fun (n : A.node) -> not (associated n.A.node_id)) action_nodes in
   let move_transitions =
     List.filter_map
       (fun (n : A.node) ->
-        if not (is_move d n.A.node_id) then None
+        if not (is_move ix n.A.node_id) then None
         else begin
           let id = n.A.node_id in
-          if List.exists (fun (m : A.node) -> m.A.node_id = id) object_less then
-            fail "<<move>> activity %s has no associated object flow" id;
+          if not (associated id) then fail "<<move>> activity %s has no associated object flow" id;
           if not mobile then fail "<<move>> activity %s in a diagram without locations" id;
           let in_locs =
-            A.objects_of_activity d id A.Into
+            A.objects_of_activity ix id A.Into
             |> List.map (fun o ->
                    match o.A.atloc with
                    | Some l -> place_of l
                    | None -> fail "occurrence %s flowing into move %s has no atloc" o.A.occ_id id)
           in
           let out_locs =
-            A.objects_of_activity d id A.Out_of
+            A.objects_of_activity ix id A.Out_of
             |> List.map (fun o ->
                    match o.A.atloc with
                    | Some l -> place_of l
@@ -309,7 +306,7 @@ let extract_untraced ?(rates = Uml.Rates_file.empty) ?(restart = `Cycle) ?(inter
           if List.length in_locs <> List.length out_locs then
             fail "<<move>> activity %s has %d incoming but %d outgoing object flows" id
               (List.length in_locs) (List.length out_locs);
-          let action = use_action (action_name_of d id) in
+          let action = use_action (action_name_of ix id) in
           Some
             {
               Pepanet.Net.transition_name = "t_" ^ action;
@@ -341,7 +338,7 @@ let extract_untraced ?(rates = Uml.Rates_file.empty) ?(restart = `Cycle) ?(inter
   in
   (* Static components: object-less activities grouped by location. *)
   let static_loc =
-    assign_static_locations d ~mobile
+    assign_static_locations ix ~initial ~mobile
       ~pinned:(fun id -> A.annotation d ~node_id:id ~tag:"atloc" <> None)
       ~initial_location:
         (if mobile then
@@ -381,38 +378,41 @@ let extract_untraced ?(rates = Uml.Rates_file.empty) ?(restart = `Cycle) ?(inter
   let static_defs =
     List.concat_map
       (fun (location, ids) ->
-        check_fork_branches d
-          ~relevant:(fun id -> List.mem id ids)
+        let relevant = member ids in
+        check_fork_branches ix ~forks ~relevant
           ~subject:(Printf.sprintf "the static component at %s" location);
         let root = List.assoc location static_roots in
         let alloc =
           Names.Allocator.create (fun node_id ->
-              Names.constant_name (Printf.sprintf "%s_%s" root (action_name_of d node_id)))
+              Names.constant_name (Printf.sprintf "%s_%s" root (action_name_of ix node_id)))
         in
-        List.iter (fun id -> ignore (use_action (action_name_of d id))) ids;
-        build_behaviour d ~relevant_ids:ids ~root_name:root
+        List.iter (fun id -> ignore (use_action (action_name_of ix id))) ids;
+        build_behaviour ix ~initial ~relevant ~relevant_ids:ids ~root_name:root
           ~state_const:(Names.Allocator.get alloc)
           ~rate_var:(fun a -> Names.rate_name (use_action a))
           ~on_final:(fun ~at:_ -> S.Var root))
       static_groups
   in
   (* Places. *)
-  let shared_actions_of obj =
-    String_set.of_list
-      (List.map (action_name_of d) (List.assoc obj relevant_of_object))
-  in
+  let shared_actions = Hashtbl.create 16 in
+  List.iter
+    (fun (obj, ids) ->
+      Hashtbl.add shared_actions obj (String_set.of_list (List.map (action_name_of ix) ids)))
+    relevant_of_object;
+  let shared_actions_of obj = Hashtbl.find shared_actions obj in
+  (* Which objects have an occurrence at which location. *)
+  let resides = Hashtbl.create 64 in
+  List.iter
+    (fun (o : A.occurrence) ->
+      Hashtbl.replace resides (o.A.obj_name, if mobile then o.A.atloc else None) ())
+    d.A.occurrences;
   let places =
     List.map
       (fun location ->
         let place_name = place_of location in
         let residents =
           List.filter
-            (fun obj ->
-              List.exists
-                (fun (o : A.occurrence) ->
-                  o.A.obj_name = obj
-                  && (if mobile then o.A.atloc = Some location else true))
-                d.A.occurrences)
+            (fun obj -> Hashtbl.mem resides (obj, if mobile then Some location else None))
             objects
         in
         if residents = [] then
@@ -455,7 +455,7 @@ let extract_untraced ?(rates = Uml.Rates_file.empty) ?(restart = `Cycle) ?(inter
                 String_set.of_list
                   (List.concat_map
                      (fun (loc, ids) ->
-                       if loc = location then List.map (action_name_of d) ids else [])
+                       if loc = location then List.map (action_name_of ix) ids else [])
                      static_groups)
               in
               let token_actions =

@@ -6,12 +6,12 @@ let reachable_action space name =
   Array.exists (is_act name) (Markov.Lts.labels (Statespace.lts space))
 
 let states_enabling space name = Markov.Lts.sources (Statespace.lts space) (is_act name)
+let states_entered_by space name = Markov.Lts.targets (Statespace.lts space) (is_act name)
 
 let never_follows space ~first ~then_ =
-  let lts = Statespace.lts space in
   let entered = Array.make (Statespace.n_states space) false in
-  List.iter (fun s -> entered.(s) <- true) (Markov.Lts.targets lts (is_act first));
-  not (List.exists (fun s -> entered.(s)) (Markov.Lts.sources lts (is_act then_)))
+  List.iter (fun s -> entered.(s) <- true) (states_entered_by space first);
+  not (List.exists (fun s -> entered.(s)) (states_enabling space then_))
 
 let eventually_reaches space ~from name =
   let lts = Statespace.lts space in

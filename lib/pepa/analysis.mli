@@ -11,6 +11,10 @@ val reachable_action : Statespace.t -> string -> bool
 val states_enabling : Statespace.t -> string -> int list
 (** Indices of states in which the named action is enabled. *)
 
+val states_entered_by : Statespace.t -> string -> int list
+(** Indices of states some transition of the named action enters.  Only
+    named actions match, so ["tau"] enters none. *)
+
 val never_follows : Statespace.t -> first:string -> then_:string -> bool
 (** [never_follows space ~first ~then_] holds when no reachable state
     has an incoming [first]-transition and an outgoing [then_]-transition,

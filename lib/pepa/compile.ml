@@ -84,21 +84,26 @@ let build_component env root =
         (index, true)
   in
   let moves_table = Hashtbl.create 16 in
-  let rec explore term =
+  (* Depth-first with an explicit stack, numbering states in preorder:
+     a term gets its index when first reached, and its moves' targets are
+     explored left to right before its siblings. *)
+  let frames = Stack.create () in
+  let reach term =
     let index, fresh = intern term in
-    if fresh then begin
-      let moves =
-        List.map
-          (fun (action, rate, target) ->
-            let target_index = explore target in
-            (action, rate, target_index))
-          (term_moves env term)
-      in
-      Hashtbl.replace moves_table index moves
-    end;
+    if fresh then Stack.push (index, ref (term_moves env term), ref []) frames;
     index
   in
-  ignore (explore root);
+  ignore (reach root);
+  while not (Stack.is_empty frames) do
+    let index, pending, resolved = Stack.top frames in
+    match !pending with
+    | (action, rate, target) :: rest ->
+        pending := rest;
+        resolved := (action, rate, reach target) :: !resolved
+    | [] ->
+        ignore (Stack.pop frames);
+        Hashtbl.replace moves_table index (List.rev !resolved)
+  done;
   let states_arr = Array.of_list (List.rev !order) in
   let labels = Array.map lterm_label states_arr in
   let local_moves =

@@ -38,10 +38,12 @@ val is_sequential : t -> string -> bool
 val process_names : t -> string list
 
 val alphabet : t -> Syntax.expr -> Syntax.String_set.t
-(** Named action types performable by an expression, chasing constant
-    references to a fixpoint.  [tau] is not included. *)
+(** Named action types performable by an expression: its own prefixes'
+    actions plus the alphabets of the constants it references, read from
+    the table [of_model] computes in one pass over the definitions'
+    reference graph.  [tau] is not included. *)
 
 val warnings : t -> string list
 (** Non-fatal observations: cooperation sets mentioning actions outside
     both participants' alphabets, process definitions never referenced
-    from the system equation, and the like. *)
+    from the system equation, and the like.  Computed on each call. *)

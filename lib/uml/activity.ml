@@ -35,53 +35,89 @@ exception Invalid_diagram of string
 
 let fail fmt = Format.kasprintf (fun msg -> raise (Invalid_diagram msg)) fmt
 
-let find_node d id = List.find_opt (fun n -> n.node_id = id) d.nodes
+(* ------------------------------------------------------------------ *)
+(* Lookups                                                             *)
+(* ------------------------------------------------------------------ *)
 
-let validate d =
-  let check_unique what ids =
-    let seen = Hashtbl.create 16 in
-    List.iter
-      (fun id ->
-        if Hashtbl.mem seen id then fail "duplicate %s id %s" what id
-        else Hashtbl.add seen id ())
-      ids
+(* The multi-valued tables are filled in reverse, so [Hashtbl.find_all]
+   returns each key's values in the diagram's order. *)
+type index = {
+  node_of_id : (string, node) Hashtbl.t;
+  successors_of : (string, string) Hashtbl.t;
+  predecessors_of : (string, string) Hashtbl.t;
+  occurrence_of_id : (string, occurrence) Hashtbl.t;
+  flows_at : (string * direction, occurrence) Hashtbl.t;
+  activities_of_object : (string, string) Hashtbl.t;
+}
+
+(* Checks referential integrity while it fills the tables, so every id
+   in an index is unique. *)
+let index d =
+  let table items = Hashtbl.create (List.length items) in
+  let add_unique what tbl id v =
+    if Hashtbl.mem tbl id then fail "duplicate %s id %s" what id else Hashtbl.add tbl id v
   in
-  check_unique "node" (List.map (fun n -> n.node_id) d.nodes);
-  check_unique "edge" (List.map (fun e -> e.edge_id) d.edges);
-  check_unique "occurrence" (List.map (fun o -> o.occ_id) d.occurrences);
-  check_unique "flow" (List.map (fun f -> f.flow_id) d.flows);
-  let node_exists id = find_node d id <> None in
+  let ix =
+    {
+      node_of_id = table d.nodes;
+      successors_of = table d.edges;
+      predecessors_of = table d.edges;
+      occurrence_of_id = table d.occurrences;
+      flows_at = table d.flows;
+      activities_of_object = table d.flows;
+    }
+  in
+  List.iter (fun n -> add_unique "node" ix.node_of_id n.node_id n) d.nodes;
+  let edge_ids = table d.edges in
+  List.iter (fun e -> add_unique "edge" edge_ids e.edge_id ()) d.edges;
+  List.iter (fun o -> add_unique "occurrence" ix.occurrence_of_id o.occ_id o) d.occurrences;
+  let flow_ids = table d.flows in
+  List.iter (fun f -> add_unique "flow" flow_ids f.flow_id ()) d.flows;
   List.iter
     (fun e ->
-      if not (node_exists e.source) then fail "edge %s has unknown source %s" e.edge_id e.source;
-      if not (node_exists e.target) then fail "edge %s has unknown target %s" e.edge_id e.target)
+      if not (Hashtbl.mem ix.node_of_id e.source) then
+        fail "edge %s has unknown source %s" e.edge_id e.source;
+      if not (Hashtbl.mem ix.node_of_id e.target) then
+        fail "edge %s has unknown target %s" e.edge_id e.target)
     d.edges;
-  let occurrence_exists id = List.exists (fun o -> o.occ_id = id) d.occurrences in
   List.iter
     (fun f ->
-      if not (occurrence_exists f.occurrence) then
+      if not (Hashtbl.mem ix.occurrence_of_id f.occurrence) then
         fail "flow %s refers to unknown occurrence %s" f.flow_id f.occurrence;
-      match find_node d f.activity with
+      match Hashtbl.find_opt ix.node_of_id f.activity with
       | Some { kind = Action _; _ } -> ()
       | Some _ -> fail "flow %s must attach to an action state (%s)" f.flow_id f.activity
       | None -> fail "flow %s refers to unknown node %s" f.flow_id f.activity)
     d.flows;
-  match List.filter (fun n -> n.kind = Initial) d.nodes with
+  (match List.filter (fun n -> n.kind = Initial) d.nodes with
   | [ _ ] -> ()
   | [] -> fail "the diagram has no initial node"
-  | _ -> fail "the diagram has more than one initial node"
+  | _ -> fail "the diagram has more than one initial node");
+  List.iter
+    (fun e ->
+      Hashtbl.add ix.successors_of e.source e.target;
+      Hashtbl.add ix.predecessors_of e.target e.source)
+    (List.rev d.edges);
+  List.iter
+    (fun f ->
+      let o = Hashtbl.find ix.occurrence_of_id f.occurrence in
+      Hashtbl.add ix.flows_at (f.activity, f.direction) o;
+      Hashtbl.add ix.activities_of_object o.obj_name f.activity)
+    (List.rev d.flows);
+  ix
+
+let validate d = ignore (index d)
+
+let find_node ix id = Hashtbl.find_opt ix.node_of_id id
+let successors ix id = Hashtbl.find_all ix.successors_of id
+let predecessors ix id = Hashtbl.find_all ix.predecessors_of id
+let objects_of_activity ix activity direction = Hashtbl.find_all ix.flows_at (activity, direction)
+
+let actions_of_object ix obj =
+  List.sort_uniq String.compare (Hashtbl.find_all ix.activities_of_object obj)
 
 let action_nodes d =
   List.filter (fun n -> match n.kind with Action _ -> true | _ -> false) d.nodes
-
-let actions_of_object d obj =
-  let occ_ids =
-    List.filter_map (fun o -> if o.obj_name = obj then Some o.occ_id else None) d.occurrences
-  in
-  List.filter_map
-    (fun f -> if List.mem f.occurrence occ_ids then Some f.activity else None)
-    d.flows
-  |> List.sort_uniq String.compare
 
 let dedup_keep_order items =
   let seen = Hashtbl.create 8 in
@@ -98,24 +134,10 @@ let object_names d = dedup_keep_order (List.map (fun o -> o.obj_name) d.occurren
 
 let locations d = dedup_keep_order (List.filter_map (fun o -> o.atloc) d.occurrences)
 
-let objects_of_activity d activity direction =
-  List.filter_map
-    (fun f ->
-      if f.activity = activity && f.direction = direction then
-        List.find_opt (fun o -> o.occ_id = f.occurrence) d.occurrences
-      else None)
-    d.flows
-
 let initial_node d =
   match List.find_opt (fun n -> n.kind = Initial) d.nodes with
   | Some n -> n
   | None -> fail "the diagram has no initial node"
-
-let successors d id =
-  List.filter_map (fun e -> if e.source = id then Some e.target else None) d.edges
-
-let predecessors d id =
-  List.filter_map (fun e -> if e.target = id then Some e.source else None) d.edges
 
 let annotate d ~node_id ~tag ~value =
   let existing = Option.value ~default:[] (List.assoc_opt node_id d.annotations) in

@@ -57,15 +57,25 @@ type t = {
 
 exception Invalid_diagram of string
 
+type index
+(** Hash tables over one diagram's nodes, edges, occurrences and flows.
+    Each lookup below costs one table probe plus the size of its answer,
+    where a scan of the diagram's lists would cost the diagram's size. *)
+
+val index : t -> index
+(** Checks the diagram as {!validate} does, raising {!Invalid_diagram},
+    and builds its tables. *)
+
 val validate : t -> unit
 (** Checks referential integrity: unique ids, edges and flows referring
     to existing endpoints, exactly one initial node, flows attached to
     action states.  Raises {!Invalid_diagram}. *)
 
-val find_node : t -> string -> node option
+val find_node : index -> string -> node option
 val action_nodes : t -> node list
-val actions_of_object : t -> string -> string list
-(** Ids of action states connected to any occurrence of the object. *)
+val actions_of_object : index -> string -> string list
+(** Ids of action states connected to any occurrence of the object,
+    sorted. *)
 
 val object_names : t -> string list
 (** Distinct object names, in first-appearance order. *)
@@ -73,12 +83,15 @@ val object_names : t -> string list
 val locations : t -> string list
 (** Distinct [atloc] values, in first-appearance order. *)
 
-val objects_of_activity : t -> string -> direction -> occurrence list
-(** Occurrences flowing into / out of the given action state. *)
+val objects_of_activity : index -> string -> direction -> occurrence list
+(** Occurrences flowing into / out of the given action state, in flow
+    order. *)
 
 val initial_node : t -> node
-val successors : t -> string -> string list
-val predecessors : t -> string -> string list
+val successors : index -> string -> string list
+(** Targets of the node's outgoing edges, in edge order. *)
+
+val predecessors : index -> string -> string list
 
 val annotate : t -> node_id:string -> tag:string -> value:string -> t
 (** Add (or replace) a reflected tagged value on a node. *)

@@ -1,8 +1,18 @@
-type t = { bindings : (string * float) list; default : float }
+(* [table] answers lookups in one probe; it holds each name's first
+   binding, the one a scan of [bindings] would find.  It is never
+   changed after [make]. *)
+type t = { bindings : (string * float) list; default : float; table : (string, float) Hashtbl.t }
 
 exception Syntax_error of { line : int; message : string }
 
-let empty = { bindings = []; default = 1.0 }
+let make bindings default =
+  let table = Hashtbl.create (List.length bindings) in
+  List.iter
+    (fun (name, rate) -> if not (Hashtbl.mem table name) then Hashtbl.add table name rate)
+    bindings;
+  { bindings; default; table }
+
+let empty = make [] 1.0
 
 let of_string src =
   let lines = String.split_on_char '\n' src in
@@ -39,7 +49,7 @@ let of_string src =
   let reversed, _ = List.fold_left parse_line ([], 1) lines in
   let bindings = List.rev reversed in
   let default = Option.value ~default:1.0 (List.assoc_opt "default" bindings) in
-  { bindings = List.remove_assoc "default" bindings; default }
+  make (List.remove_assoc "default" bindings) default
 
 let of_file path =
   let ic = open_in_bin path in
@@ -57,9 +67,9 @@ let to_string t =
   Buffer.add_string buf (Printf.sprintf "default = %g\n" t.default);
   Buffer.contents buf
 
-let add t name rate = { t with bindings = (name, rate) :: List.remove_assoc name t.bindings }
+let add t name rate = make ((name, rate) :: List.remove_assoc name t.bindings) t.default
 
-let rate_opt t name = List.assoc_opt name t.bindings
+let rate_opt t name = Hashtbl.find_opt t.table name
 let rate t name = Option.value ~default:t.default (rate_opt t name)
 let bindings t = t.bindings
 let with_default t default = { t with default }

@@ -54,7 +54,7 @@ let test_parse_document () =
   Alcotest.(check int) "flows" 7 (List.length d.A.flows);
   Alcotest.(check (list string)) "locations" [ "transmitter_1"; "transmitter_2" ]
     (A.locations d);
-  (match A.find_node d "handover" with
+  (match A.find_node (A.index d) "handover" with
   | Some { A.kind = A.Action { move = true; name }; _ } ->
       Alcotest.(check string) "name defaults to id" "handover" name
   | _ -> Alcotest.fail "handover should be a move action");

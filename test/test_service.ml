@@ -883,7 +883,17 @@ let test_workbench_malformed_models () =
               ("passage", [ "-a"; "a" ]);
               ("graph", []);
             ])
-        models)
+        models);
+  (* "tau" names the silent action, which no passage can be built
+     around: an error report, not an uncaught exception. *)
+  let mm1k = asset "mm1k.pepa" in
+  List.iter
+    (fun args ->
+      let code, stderr = run_cli exe args in
+      let what = String.concat " " args in
+      Alcotest.(check int) (what ^ " exits 1") 1 code;
+      Alcotest.(check bool) (what ^ " reports an error: " ^ stderr) true (has_prefix "error: " stderr))
+    [ [ "query"; mm1k; "passage(tau -> serve).mean" ]; [ "passage"; mm1k; "-a"; "tau" ] ]
 
 let suite =
   [

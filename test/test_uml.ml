@@ -20,16 +20,17 @@ let test_builder () =
   Alcotest.(check (list string)) "objects" [ "x" ] (A.object_names d);
   Alcotest.(check (list string)) "locations" [ "here" ] (A.locations d);
   Alcotest.(check bool) "initial found" true ((A.initial_node d).A.kind = A.Initial);
-  Alcotest.(check int) "actions of object" 1 (List.length (A.actions_of_object d "x"))
+  Alcotest.(check int) "actions of object" 1 (List.length (A.actions_of_object (A.index d) "x"))
 
 let test_graph_queries () =
   let d = tiny_diagram () in
   let act = (List.hd (A.action_nodes d)).A.node_id in
   let init = (A.initial_node d).A.node_id in
-  Alcotest.(check (list string)) "successors" [ act ] (A.successors d init);
-  Alcotest.(check (list string)) "predecessors" [ init ] (A.predecessors d act);
-  Alcotest.(check int) "objects into act" 1 (List.length (A.objects_of_activity d act A.Into));
-  Alcotest.(check int) "objects out of act" 0 (List.length (A.objects_of_activity d act A.Out_of))
+  let ix = A.index d in
+  Alcotest.(check (list string)) "successors" [ act ] (A.successors ix init);
+  Alcotest.(check (list string)) "predecessors" [ init ] (A.predecessors ix act);
+  Alcotest.(check int) "objects into act" 1 (List.length (A.objects_of_activity ix act A.Into));
+  Alcotest.(check int) "objects out of act" 0 (List.length (A.objects_of_activity ix act A.Out_of))
 
 let test_annotations () =
   let d = tiny_diagram () in
