@@ -76,54 +76,17 @@ type agg = {
   divergence : float;
 }
 
-(* The same exact (un-aggregated) pipeline rerun on a domain pool:
-   power sweeps are the one pooled stage (the rebuild is sequential),
-   so the block measures the end-to-end multicore story.  The solve method is pinned
-   to Power on both sides of the comparison — Gauss-Seidel (the auto
-   choice) stays sequential by design — so [par_speedup] is a
-   like-for-like jobs=N versus jobs=1 ratio and [par_divergence] only
-   sees the reassociated normalisation. *)
-type par = {
-  par_jobs : int;
-  par_build_s : float;
-  par_assemble_s : float;
-  par_solve_s : float;
-  par_iterations : int;
-  par_method : string;
-  par_seq_total_s : float;  (** build + assemble + solve at jobs = 1, same method *)
-  par_speedup : float;
-  par_divergence : float;  (** max |pi_par - pi_seq| over states *)
-  par_states_match : bool;
-}
-
 let time = Obs.Span.timed
 
 let solve_options = Markov.Steady.default_options
 
 let max_divergence = ref 0.0
 
-(* Parallel determinism gates, enforced on every row of every family:
-   the parallel pipeline must reproduce the sequential state space
-   exactly and the steady vector to 1e-10. *)
-let par_jobs = 4
-let max_par_divergence = ref 0.0
-let par_states_mismatch = ref false
-let par_speedup_at_16 = ref None
-
-(* Below this many states the 4-domain rerun measures domain-fork
-   overhead and scheduler noise, not the engine, so such rows skip the
-   rerun and are marked ["skipped_small"] in the JSON. *)
-let par_skip_threshold = 4096
-
-let record_par ~states_match ~divergence =
-  par_states_mismatch := !par_states_mismatch || not states_match;
-  max_par_divergence := Float.max !max_par_divergence divergence
-
-let steady_divergence pi_seq pi_par =
-  if Array.length pi_seq <> Array.length pi_par then infinity
+let steady_divergence pi_a pi_b =
+  if Array.length pi_a <> Array.length pi_b then infinity
   else begin
     let d = ref 0.0 in
-    Array.iteri (fun i p -> d := Float.max !d (Float.abs (p -. pi_par.(i)))) pi_seq;
+    Array.iteri (fun i p -> d := Float.max !d (Float.abs (p -. pi_b.(i)))) pi_a;
     !d
   end
 
@@ -167,62 +130,6 @@ let pepa_row n =
       (Pepa.Statespace.throughputs space_a pi_a)
   in
   max_divergence := Float.max !max_divergence divergence;
-  (* Rerun of the exact pipeline with power sweeps on the 4-domain pool
-     (exploration and assembly are sequential at any job count),
-     skipped below the small-instance threshold. *)
-  let par =
-    if Pepa.Statespace.n_states space < par_skip_threshold then None
-    else begin
-      (* Sequential power yardstick first, then drop the sequential
-         pipeline's cached CSR matrices: the parallel rerun's generator
-         (and its transpose) never coexists with them, which is what
-         the 16-replica memory gate measures. *)
-      let pi_seq_power, seq_power_solve_s =
-        time ~attrs "bench.pepa.solve_power_seq" (fun _ ->
-            Markov.Steady.solve ~method_:Markov.Steady.Power ~options:solve_options chain)
-      in
-      Markov.Lts.release (Pepa.Statespace.lts space);
-      Markov.Lts.release (Pepa.Statespace.lts space_a);
-      let space_p, par_build_s =
-        time ~attrs "bench.pepa.build_par" (fun _ ->
-            Pepa.Statespace.of_string (replicated_model n))
-      in
-      let chain_p, par_assemble_s =
-        time ~attrs "bench.pepa.assemble_par" (fun _ ->
-            let chain = Pepa.Statespace.ctmc space_p in
-            ignore (Markov.Ctmc.generator_transposed chain);
-            chain)
-      in
-      let (pi_p, stats_p), par_solve_s =
-        time ~attrs "bench.pepa.solve_par" (fun _ ->
-            Markov.Steady.solve_stats ~method_:Markov.Steady.Power ~options:solve_options
-              ~jobs:par_jobs chain_p)
-      in
-      let par_states_match =
-        Pepa.Statespace.n_states space_p = Pepa.Statespace.n_states space
-        && Pepa.Statespace.n_transitions space_p = Pepa.Statespace.n_transitions space
-      in
-      let par_divergence = steady_divergence pi_seq_power pi_p in
-      record_par ~states_match:par_states_match ~divergence:par_divergence;
-      let par_seq_total_s = build_s +. assemble_s +. seq_power_solve_s in
-      let par_total = par_build_s +. par_assemble_s +. par_solve_s in
-      let par_speedup = if par_total > 0.0 then par_seq_total_s /. par_total else 0.0 in
-      if n = 16 then par_speedup_at_16 := Some par_speedup;
-      Some
-        {
-          par_jobs;
-          par_build_s;
-          par_assemble_s;
-          par_solve_s;
-          par_iterations = stats_p.Markov.Steady.iterations;
-          par_method = Markov.Steady.method_name stats_p.Markov.Steady.method_used;
-          par_seq_total_s;
-          par_speedup;
-          par_divergence;
-          par_states_match;
-        }
-    end
-  in
   let total = build_s +. assemble_s +. solve_s in
   let agg_total = agg_build_s +. agg_lump_s +. agg_solve_s in
   ( {
@@ -246,8 +153,7 @@ let pepa_row n =
       agg_solve_s;
       speedup = (if agg_total > 0.0 then total /. agg_total else 0.0);
       divergence;
-    },
-    par )
+    } )
 
 let net_row k =
   let diagram = Scenarios.Pda.diagram_with_transmitters k in
@@ -285,59 +191,6 @@ let net_row k =
       (Pepanet.Net_measures.throughputs space_a pi_a)
   in
   max_divergence := Float.max !max_divergence divergence;
-  (* Rerun with pooled power sweeps, as for the PEPA rows. *)
-  let par =
-    if Pepanet.Net_statespace.n_markings space < par_skip_threshold then None
-    else begin
-      (* Same scoping as the PEPA rows: yardstick first, sequential CSR
-         matrices dropped before the parallel rerun. *)
-      let pi_seq_power, seq_power_solve_s =
-        time ~attrs "bench.net.solve_power_seq" (fun _ ->
-            Markov.Steady.solve ~method_:Markov.Steady.Power ~options:solve_options chain)
-      in
-      Markov.Lts.release (Pepanet.Net_statespace.lts space);
-      Markov.Lts.release (Pepanet.Net_statespace.lts space_a);
-      let space_p, par_build_s =
-        time ~attrs "bench.net.build_par" (fun _ ->
-            Pepanet.Net_statespace.build compiled)
-      in
-      let chain_p, par_assemble_s =
-        time ~attrs "bench.net.assemble_par" (fun _ ->
-            let chain = Markov.Lts.ctmc (Pepanet.Net_statespace.lts space_p) in
-            ignore (Markov.Ctmc.generator_transposed chain);
-            chain)
-      in
-      let (pi_p, stats_p), par_solve_s =
-        time ~attrs "bench.net.solve_par" (fun _ ->
-            Markov.Steady.solve_stats ~method_:Markov.Steady.Power ~options:solve_options
-              ~jobs:par_jobs chain_p)
-      in
-      let par_states_match =
-        Pepanet.Net_statespace.n_markings space_p
-        = Pepanet.Net_statespace.n_markings space
-        && Pepanet.Net_statespace.n_transitions space_p
-           = Pepanet.Net_statespace.n_transitions space
-      in
-      let par_divergence = steady_divergence pi_seq_power pi_p in
-      record_par ~states_match:par_states_match ~divergence:par_divergence;
-      let par_seq_total_s = build_s +. assemble_s +. seq_power_solve_s in
-      let par_total = par_build_s +. par_assemble_s +. par_solve_s in
-      let par_speedup = if par_total > 0.0 then par_seq_total_s /. par_total else 0.0 in
-      Some
-        {
-          par_jobs;
-          par_build_s;
-          par_assemble_s;
-          par_solve_s;
-          par_iterations = stats_p.Markov.Steady.iterations;
-          par_method = Markov.Steady.method_name stats_p.Markov.Steady.method_used;
-          par_seq_total_s;
-          par_speedup;
-          par_divergence;
-          par_states_match;
-        }
-    end
-  in
   let total = build_s +. assemble_s +. solve_s in
   let agg_total = agg_build_s +. agg_lump_s +. agg_solve_s in
   ( {
@@ -361,8 +214,7 @@ let net_row k =
       agg_solve_s;
       speedup = (if agg_total > 0.0 then total /. agg_total else 0.0);
       divergence;
-    },
-    par )
+    } )
 
 (* ------------------------------------------------------------------ *)
 (* Tandem queue family: the largest-exact-instance trajectory          *)
@@ -427,7 +279,7 @@ let tandem_row capacity =
   let (pi, stats), solve_s =
     time ~attrs "bench.tandem.solve" (fun _ ->
         Markov.Steady.solve_stats ~method_:Markov.Steady.Bicgstab
-          ~options:tandem_solve_options ~jobs:par_jobs chain)
+          ~options:tandem_solve_options chain)
   in
   let method_used = Markov.Steady.method_name stats.Markov.Steady.method_used in
   if method_used <> "bicgstab" then
@@ -846,20 +698,7 @@ let scaling_row_json r =
     {|    { "replicas": %d, "integrate_s": %.6f, "steps": %d, "task_throughput": %.6f, "peak_heap_words": %d }|}
     r.s_replicas r.s_integrate_s r.s_steps r.s_throughput r.s_heap_words
 
-let par_json = function
-  | None -> {|"parallel": { "skipped_small": true }|}
-  | Some p ->
-      Printf.sprintf
-        {|"parallel": { "jobs": %d, "method": "%s",
-        "build_s": %.6f, "assemble_s": %.6f, "solve_s": %.6f, "total_s": %.6f,
-        "sequential_total_s": %.6f, "speedup": %.2f, "iterations": %d,
-        "steady_divergence": %.3e, "states_match": %b }|}
-        p.par_jobs p.par_method p.par_build_s p.par_assemble_s p.par_solve_s
-        (p.par_build_s +. p.par_assemble_s +. p.par_solve_s)
-        p.par_seq_total_s p.par_speedup p.par_iterations p.par_divergence
-        p.par_states_match
-
-let row_json ~parameter_name (r, a, p) =
+let row_json ~parameter_name (r, a) =
   let states_per_sec =
     if r.build_s > 0.0 then float_of_int r.states /. r.build_s else 0.0
   in
@@ -870,14 +709,13 @@ let row_json ~parameter_name (r, a, p) =
       "peak_heap_words": %d,
       "aggregated": { "states": %d, "transitions": %d, "lumped_classes": %d,
         "build_s": %.6f, "lump_s": %.6f, "solve_s": %.6f, "total_s": %.6f,
-        "speedup": %.2f, "throughput_divergence": %.3e },
-      %s }|}
+        "speedup": %.2f, "throughput_divergence": %.3e } }|}
     parameter_name r.parameter r.states r.transitions r.build_s r.assemble_s r.solve_s
     (r.build_s +. r.assemble_s +. r.solve_s)
     states_per_sec r.iterations r.residual r.method_used r.peak_heap_words a.agg_states
     a.agg_transitions a.agg_classes a.agg_build_s a.agg_lump_s a.agg_solve_s
     (a.agg_build_s +. a.agg_lump_s +. a.agg_solve_s)
-    a.speedup a.divergence (par_json p)
+    a.speedup a.divergence
 
 let tandem_row_json r =
   let check =
@@ -888,12 +726,12 @@ let tandem_row_json r =
   Printf.sprintf
     {|    { "stations": %d, "capacity": %d, "states": %d, "transitions": %d,
       "build_s": %.6f, "assemble_s": %.6f, "solve_s": %.6f, "total_s": %.6f,
-      "jobs": %d, "iterations": %d, "residual": %.3e, "method": "%s",
+      "iterations": %d, "residual": %.3e, "method": "%s",
       "check_divergence_vs_gauss_seidel": %s, "peak_heap_words": %d }|}
     tandem_stations r.td_capacity r.td_states r.td_transitions r.td_build_s
     r.td_assemble_s r.td_solve_s
     (r.td_build_s +. r.td_assemble_s +. r.td_solve_s)
-    par_jobs r.td_iterations r.td_residual r.td_method check r.td_heap_words
+    r.td_iterations r.td_residual r.td_method check r.td_heap_words
 
 let () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
@@ -929,21 +767,10 @@ let () =
     Sys.argv;
   let replicas = if smoke then [ 2; 4 ] else [ 2; 4; 6; 8; 10; 12; 14; 16 ] in
   let transmitters = if smoke then [ 2 ] else [ 2; 3; 5; 8; 12 ] in
-  let print_par = function
-    | None ->
-        Printf.eprintf "            parallel: skipped (below %d states)\n%!"
-          par_skip_threshold
-    | Some p ->
-        Printf.eprintf
-          "            parallel(jobs=%d, %s): total=%.4fs sequential=%.4fs speedup=%.2fx divergence=%.1e states_match=%b\n%!"
-          p.par_jobs p.par_method
-          (p.par_build_s +. p.par_assemble_s +. p.par_solve_s)
-          p.par_seq_total_s p.par_speedup p.par_divergence p.par_states_match
-  in
   let pepa_rows =
     List.map
       (fun n ->
-        let r, a, p = pepa_row n in
+        let r, a = pepa_row n in
         Printf.eprintf
           "replicas=%2d states=%7d transitions=%8d build=%.4fs assemble=%.4fs solve=%.4fs (%d iterations, %s)\n%!"
           n r.states r.transitions r.build_s r.assemble_s r.solve_s r.iterations r.method_used;
@@ -952,14 +779,13 @@ let () =
           a.agg_states a.agg_classes
           (a.agg_build_s +. a.agg_lump_s +. a.agg_solve_s)
           a.speedup a.divergence;
-        print_par p;
-        (r, a, p))
+        (r, a))
       replicas
   in
   let net_rows =
     List.map
       (fun k ->
-        let r, a, p = net_row k in
+        let r, a = net_row k in
         Printf.eprintf
           "transmitters=%2d markings=%7d transitions=%8d build=%.4fs assemble=%.4fs solve=%.4fs (%d iterations, %s)\n%!"
           k r.states r.transitions r.build_s r.assemble_s r.solve_s r.iterations r.method_used;
@@ -968,8 +794,7 @@ let () =
           a.agg_states a.agg_classes
           (a.agg_build_s +. a.agg_lump_s +. a.agg_solve_s)
           a.speedup a.divergence;
-        print_par p;
-        (r, a, p))
+        (r, a))
       transmitters
   in
   let fluid_replicas = if smoke then [ 4; 16 ] else [ 2; 4; 8; 16; 32; 64 ] in
@@ -1058,13 +883,7 @@ let () =
       tandem_capacities
   in
   let largest_tandem = List.nth tandem_rows (List.length tandem_rows - 1) in
-  let largest, largest_agg, largest_par = List.nth pepa_rows (List.length pepa_rows - 1) in
-  (* The multicore speedup gate needs real cores: with fewer than 4 the
-     4-domain run measures oversubscription, not the engine, so the
-     numbers are recorded but the threshold is not enforced (nor on
-     --smoke sweeps, whose instances are too small to amortise fork
-     cost). *)
-  let speedup_gate_enforced = (not smoke) && Par.recommended () >= 4 in
+  let largest, largest_agg = List.nth pepa_rows (List.length pepa_rows - 1) in
   let json =
     String.concat "\n"
       [
@@ -1120,20 +939,11 @@ let () =
         "  ],";
         {|  "daemon_sweep_gates": { "warm_iterations_le_cold": true, "throughput_divergence_tolerance": 1e-10 },|};
         Printf.sprintf
-          {|  "parallel_speedup_gate": { "jobs": %d, "required_at_16_replicas": 2.0, "recommended_domains": %d, "enforced": %b },|}
-          par_jobs (Par.recommended ()) speedup_gate_enforced;
-        Printf.sprintf
-          {|  "largest_instance": { "replicas": %d, "states": %d, "transitions": %d, "total_s": %.6f, "aggregated_total_s": %.6f, "aggregated_speedup": %.2f%s },|}
+          {|  "largest_instance": { "replicas": %d, "states": %d, "transitions": %d, "total_s": %.6f, "aggregated_total_s": %.6f, "aggregated_speedup": %.2f },|}
           largest.parameter largest.states largest.transitions
           (largest.build_s +. largest.assemble_s +. largest.solve_s)
           (largest_agg.agg_build_s +. largest_agg.agg_lump_s +. largest_agg.agg_solve_s)
-          largest_agg.speedup
-          (match largest_par with
-          | Some p ->
-              Printf.sprintf {|, "parallel_total_s": %.6f, "parallel_speedup": %.2f|}
-                (p.par_build_s +. p.par_assemble_s +. p.par_solve_s)
-                p.par_speedup
-          | None -> "");
+          largest_agg.speedup;
         (* Trajectory anchor: the list-based seed pipeline measured on
            this same container immediately before the flat-array rewrite
            (PR 1), same solver tolerance and direct limit.  Kept static
@@ -1195,19 +1005,6 @@ let () =
       net_scaling_time_budget_s;
     exit 1
   end;
-  (* Parallel determinism gates, always on: the 4-domain rerun must
-     reproduce the sequential state space exactly and the steady vector
-     to 1e-10 on every instance. *)
-  if !par_states_mismatch then begin
-    Printf.eprintf "error: the 4-domain rerun produced a different state space\n%!";
-    exit 1
-  end;
-  if !max_par_divergence > 1e-10 then begin
-    Printf.eprintf
-      "error: parallel steady vectors diverge by %.3e from sequential (tolerance 1e-10)\n%!"
-      !max_par_divergence;
-    exit 1
-  end;
   (* Sweep gates: warm starting may only save work, never change the
      answer. *)
   (match !sweep_iteration_gate_breached with
@@ -1245,20 +1042,4 @@ let () =
       "error: peak heap at 16 replicas is %d words; required <= half of the %d-word PR 8 baseline\n%!"
       largest.peak_heap_words pr8_peak_heap_words_at_16;
     exit 1
-  end;
-  (* Parallel speed gate: 4 domains must halve the un-aggregated
-     16-replica end-to-end time, enforced only where 4 real cores
-     exist. *)
-  match !par_speedup_at_16 with
-  | Some s when speedup_gate_enforced && s < 2.0 ->
-      Printf.eprintf
-        "error: parallel speedup %.2fx at 16 replicas with %d jobs (required >= 2.00x)\n%!"
-        s par_jobs;
-      exit 1
-  | Some s when not speedup_gate_enforced ->
-      Printf.eprintf
-        "parallel speedup gate skipped (%d recommended domains%s); measured %.2fx\n%!"
-        (Par.recommended ())
-        (if smoke then ", smoke sweep" else "")
-        s
-  | _ -> ()
+  end

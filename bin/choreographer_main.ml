@@ -44,7 +44,7 @@ let absorb_arg =
         ~doc:
           "Keep terminating behaviour instead of cycling tokens back to their initial activity.")
 
-let options_of ~jobs rates_path method_ absorb aggregate fluid =
+let options_of rates_path method_ absorb aggregate fluid =
   {
     Choreographer.Pipeline.default_options with
     rates = load_rates rates_path;
@@ -52,7 +52,6 @@ let options_of ~jobs rates_path method_ absorb aggregate fluid =
     restart = (if absorb then `Absorb else `Cycle);
     aggregate;
     fluid;
-    jobs = Some jobs;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -77,13 +76,12 @@ let pipeline_cmd =
       & info [ "html" ] ~docv:"FILE"
           ~doc:"Also write a self-contained HTML report (the Figure 7 view).")
   in
-  let run jobs input output rates_path method_ absorb aggregate fluid xmltable html =
+  let run () input output rates_path method_ absorb aggregate fluid xmltable html =
     Cli_support.handle_errors (fun () ->
-        let options = options_of ~jobs rates_path method_ absorb aggregate fluid in
+        let options = options_of rates_path method_ absorb aggregate fluid in
         Cli_support.arm_ledger ~tool:"choreographer pipeline" ~model:input
           ~options:
             [
-              ("jobs", string_of_int jobs);
               ("method", Cli_support.method_string method_);
               ("aggregate", Markov.Lump.mode_to_string aggregate);
               ("fluid", Cli_support.fluid_string fluid);
@@ -133,7 +131,7 @@ let extract_cmd =
           ~doc:"Also write the resolved activity rates as a .rates file (the second \
                 artefact of the paper's Figure 4).")
   in
-  let run _jobs input rates_path absorb output rates_out =
+  let run () input rates_path absorb output rates_out =
     Cli_support.handle_errors (fun () ->
         let doc = Uml.Poseidon.strip (read_document input) in
         let rates = load_rates rates_path in
@@ -186,7 +184,7 @@ let extract_cmd =
       $ rates_out_arg)
 
 let info_cmd =
-  let run _jobs input =
+  let run () input =
     let doc = Uml.Poseidon.strip (read_document input) in
     let activities = Uml.Xmi_read.activities_of_xml doc in
     let charts = Uml.Xmi_read.statecharts_of_xml doc in
@@ -217,7 +215,7 @@ let strip_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Stripped XMI output file.")
   in
-  let run _jobs input output =
+  let run () input output =
     let doc = read_document input in
     Xml_kit.Minixml.write_file output (Uml.Poseidon.strip doc);
     Printf.printf "metamodel-conformant XMI written to %s\n" output
@@ -476,28 +474,18 @@ let net_flag_arg =
 let model_pos_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"MODEL" ~doc:"A .pepa or .pepanet file.")
 
-let client_options jobs method_ aggregate fluid absorb =
+let client_options method_ aggregate fluid absorb =
   {
     Service.Protocol.default_options with
     method_;
     aggregate;
     fluid;
-    jobs;
     restart = (if absorb then `Absorb else `Cycle);
   }
 
-let jobs_opt_arg =
-  (* The client's --jobs asks the daemon, so it must not auto-resolve
-     locally; 0 still means "auto" — on the daemon's machine. *)
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Domains the daemon should use for this request (0 auto-detects there), \
-              capped at the daemon's own $(b,--jobs).")
-
 let client_solve_cmd =
-  let run socket tcp jobs path net method_ aggregate fluid =
-    let options = client_options jobs method_ aggregate fluid false in
+  let run socket tcp path net method_ aggregate fluid =
+    let options = client_options method_ aggregate fluid false in
     let request =
       Service.Protocol.Solve
         { kind = kind_of path net; name = Filename.basename path; source = read_source path; options }
@@ -510,7 +498,7 @@ let client_solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve a model on the daemon (same output as workbench solve).")
     Term.(
-      const run $ client_socket_arg $ client_tcp_arg $ jobs_opt_arg $ model_pos_arg
+      const run $ client_socket_arg $ client_tcp_arg $ model_pos_arg
       $ net_flag_arg $ method_arg $ Cli_support.aggregate_arg $ Cli_support.fluid_arg)
 
 let client_query_cmd =
@@ -520,8 +508,8 @@ let client_query_cmd =
       & pos 1 (some string) None
       & info [] ~docv:"QUERY" ~doc:"Measure expression, e.g. 'throughput(request)'.")
   in
-  let run socket tcp jobs path net query method_ aggregate =
-    let options = client_options jobs method_ aggregate None false in
+  let run socket tcp path net query method_ aggregate =
+    let options = client_options method_ aggregate None false in
     let request =
       Service.Protocol.Query
         { kind = kind_of path net; name = Filename.basename path; source = read_source path; query; options }
@@ -534,7 +522,7 @@ let client_query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate a measure expression on the daemon.")
     Term.(
-      const run $ client_socket_arg $ client_tcp_arg $ jobs_opt_arg $ model_pos_arg
+      const run $ client_socket_arg $ client_tcp_arg $ model_pos_arg
       $ net_flag_arg $ query_arg $ method_arg $ Cli_support.aggregate_arg)
 
 (* Document verbs ship the raw file contents after validating them
@@ -574,10 +562,10 @@ let client_pipeline_cmd =
       & opt (some string) None
       & info [ "xmltable" ] ~docv:"FILE" ~doc:"Also write results as an .xmltable document.")
   in
-  let run socket tcp jobs input output rates_path method_ absorb aggregate fluid xmltable =
+  let run socket tcp input output rates_path method_ absorb aggregate fluid xmltable =
     let name, document = read_document_source input in
     let rates = read_rates_source rates_path in
-    let options = client_options jobs method_ aggregate fluid absorb in
+    let options = client_options method_ aggregate fluid absorb in
     let request = Service.Protocol.Pipeline { name; document; rates; options } in
     with_conn socket tcp (fun conn ->
         let out, diagnostics, data = ok_or_exit (Service.Client.request conn request) in
@@ -593,7 +581,7 @@ let client_pipeline_cmd =
     (Cmd.info "pipeline"
        ~doc:"Run the full extract-analyse-reflect tool chain on the daemon.")
     Term.(
-      const run $ client_socket_arg $ client_tcp_arg $ jobs_opt_arg $ input_arg $ output_arg
+      const run $ client_socket_arg $ client_tcp_arg $ input_arg $ output_arg
       $ rates_arg $ method_arg $ absorb_arg $ Cli_support.aggregate_arg
       $ Cli_support.fluid_arg $ xmltable_arg)
 
@@ -604,10 +592,10 @@ let client_reflect_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Reflected XMI output file.")
   in
-  let run socket tcp jobs input output rates_path method_ absorb aggregate fluid =
+  let run socket tcp input output rates_path method_ absorb aggregate fluid =
     let name, document = read_document_source input in
     let rates = read_rates_source rates_path in
-    let options = client_options jobs method_ aggregate fluid absorb in
+    let options = client_options method_ aggregate fluid absorb in
     let request = Service.Protocol.Reflect { name; document; rates; options } in
     with_conn socket tcp (fun conn ->
         let _, diagnostics, data = ok_or_exit (Service.Client.request conn request) in
@@ -619,7 +607,7 @@ let client_reflect_cmd =
     (Cmd.info "reflect"
        ~doc:"Analyse a UML document on the daemon and write only the reflected XMI.")
     Term.(
-      const run $ client_socket_arg $ client_tcp_arg $ jobs_opt_arg $ input_arg $ output_arg
+      const run $ client_socket_arg $ client_tcp_arg $ input_arg $ output_arg
       $ rates_arg $ method_arg $ absorb_arg $ Cli_support.aggregate_arg
       $ Cli_support.fluid_arg)
 
@@ -706,13 +694,13 @@ let client_sweep_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the sweep JSON here (default: stdout).")
   in
-  let run socket tcp jobs path net method_ aggregate fluid rates replicas backend cold out =
+  let run socket tcp path net method_ aggregate fluid rates replicas backend cold out =
     let axes = rates @ replicas in
     if axes = [] then begin
       Printf.eprintf "error: sweep needs at least one --rate or --replicas axis\n";
       exit 2
     end;
-    let options = client_options jobs method_ aggregate fluid false in
+    let options = client_options method_ aggregate fluid false in
     let request =
       Service.Protocol.Sweep
         {
@@ -740,7 +728,7 @@ let client_sweep_cmd =
        ~doc:"Solve a model over a parameter grid on the daemon, warm-starting \
              successive points.")
     Term.(
-      const run $ client_socket_arg $ client_tcp_arg $ jobs_opt_arg $ model_pos_arg
+      const run $ client_socket_arg $ client_tcp_arg $ model_pos_arg
       $ net_flag_arg $ method_arg $ Cli_support.aggregate_arg $ Cli_support.fluid_arg
       $ rate_axes_arg $ replica_axes_arg $ backend_arg $ cold_arg $ out_arg)
 

@@ -47,10 +47,8 @@ let workers_arg =
   Arg.(
     value & opt int 4
     & info [ "workers" ] ~docv:"N"
-        ~doc:"Connection-serving domains: how many clients are served concurrently \
-              (sequential solves run right on their worker; requests whose capped \
-              job count is above 1 funnel through the main domain, which owns the \
-              domain pools).")
+        ~doc:"Connection-serving domains: how many clients are served concurrently.  \
+              Each request runs entirely on the worker that read it.")
 
 let cache_arg =
   Arg.(
@@ -60,7 +58,7 @@ let cache_arg =
               first.  Each entry retains the compiled artefacts of every stage \
               already run for that model.")
 
-let run jobs socket tcp workers cache =
+let run () socket tcp workers cache =
   if workers < 1 then begin
     Printf.eprintf "error: --workers must be at least 1\n";
     exit 2
@@ -69,7 +67,6 @@ let run jobs socket tcp workers cache =
     Printf.eprintf "error: --cache must be at least 1\n";
     exit 2
   end;
-  ignore (jobs : int);
   (* The per-request ledger honours the one-shot CLIs' switches: --ledger
      PATH redirects, --no-ledger (or CHOREOGRAPHER_NO_LEDGER) disables.
      Unlike the CLIs there is no at_exit capture — the server emits one
@@ -98,7 +95,7 @@ let () =
   let info = Cmd.info "choreographerd" ~version:"1.0.0" ~doc in
   let term =
     Term.(
-      const run $ Cli_support.daemon_term $ socket_arg $ tcp_arg $ workers_arg
+      const run $ Cli_support.telemetry_term $ socket_arg $ tcp_arg $ workers_arg
       $ cache_arg)
   in
   exit (Cli_support.eval_cli (Cmd.v info term))

@@ -56,32 +56,12 @@ let fluid_arg =
            (population model + adaptive RK45) instead of a discrete solve, at a cost \
            independent of replica and token counts.  The optional value sets the \
            integrator's relative (and absolute) local-error tolerances, default \
-           $(b,1e-8,1e-12).  Results are the deterministic population limit — \
-           asymptotically exact as populations grow, not an exact solve — and are \
-           labelled as approximations everywhere they are reported.  Models with \
-           passive cooperation, and nets with mixed transition priorities, have no \
-           fluid interpretation.")
-
-(* ------------------------------------------------------------------ *)
-(* Parallel execution                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let jobs_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | Some _ | None ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "invalid job count %s (valid: 1 for the sequential solver, N >= 2 for N \
-                domains, 0 to auto-detect)"
-               s))
-  in
-  let print fmt n = Format.pp_print_int fmt n in
-  Arg.conv (parse, print)
-
-let jobs_arg ~doc = Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+           $(b,1e-8,1e-12); a relative tolerance above $(b,1e-4) runs at $(b,1e-4), \
+           since looser control never settles on the fixed point.  Results are the \
+           deterministic population limit — asymptotically exact as populations grow, \
+           not an exact solve — and are labelled as approximations everywhere they \
+           are reported.  Models with passive cooperation, and nets with mixed \
+           transition priorities, have no fluid interpretation.")
 
 let print_fluid_stats (stats : Fluid.Rk45.stats) =
   Printf.eprintf "%s%!" (Choreographer.Render.fluid_stats_line stats)
@@ -261,44 +241,10 @@ let setup_telemetry level trace metrics metrics_format ledger no_ledger sample =
       at_exit (fun () -> Obs.Sampler.stop sampler)
   | None -> ()
 
-(* Shared per-process setup: telemetry sinks plus the domain-pool
-   default.  Evaluates to the resolved job count ([--jobs 0] becomes
-   the detected core count) so subcommands can also thread it
-   explicitly where an API takes [?jobs]. *)
-let setup level trace metrics metrics_format ledger no_ledger sample jobs =
-  setup_telemetry level trace metrics metrics_format ledger no_ledger sample;
-  let jobs = Par.resolve jobs in
-  Par.set_jobs jobs;
-  jobs
-
-let setup_term ~jobs_doc =
-  Term.(
-    const setup $ log_level_arg $ trace_arg $ metrics_arg $ metrics_format_arg $ ledger_arg
-    $ no_ledger_arg $ sample_arg $ jobs_arg ~doc:jobs_doc)
-
 let telemetry_term =
-  setup_term
-    ~jobs_doc:
-      "Number of domains (OS threads) for the one stage that runs on a domain pool: \
-       the power method's sweeps (also when the power method is BiCGStab's breakdown \
-       fallback).  Every other stage, state-space exploration included, runs \
-       sequentially at any job count.  $(b,1) (the default) keeps every stage \
-       sequential; $(b,0) auto-detects the machine's core count.  Results are \
-       deterministic at any job count: power-method probabilities agree with the \
-       sequential run to within the solver tolerance, and every other method's are \
-       bitwise identical."
-
-(* The daemon's --jobs bounds what requests may ask for rather than
-   choosing a count itself. *)
-let daemon_term =
-  setup_term
-    ~jobs_doc:
-      "The largest job count a request may use: a request asking for more domains \
-       (or for $(b,0), auto-detect) runs with at most this many.  $(b,1), the default, \
-       serves every request sequentially; $(b,0) allows the machine's core count.  \
-       The count reaches the same one pooled stage as the one-shot CLIs' \
-       $(b,--jobs): power-method sweeps.  The $(b,stats) verb reports it as \
-       $(b,jobs_limit)."
+  Term.(
+    const setup_telemetry $ log_level_arg $ trace_arg $ metrics_arg $ metrics_format_arg
+    $ ledger_arg $ no_ledger_arg $ sample_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Solver diagnostics                                                  *)

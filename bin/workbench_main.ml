@@ -35,12 +35,11 @@ let load_net ?(symmetry = false) path =
   (W.net_space ~name ~symmetry compiled, Pepanet.Net_compile.warnings compiled)
 
 let solve_cmd =
-  let run jobs path net method_ aggregate fluid =
+  let run () path net method_ aggregate fluid =
     Cli_support.handle_errors (fun () ->
         Cli_support.arm_ledger ~tool:"workbench solve" ~model:path
           ~options:
             [
-              ("jobs", string_of_int jobs);
               ("method", Cli_support.method_string method_);
               ("aggregate", Markov.Lump.mode_to_string aggregate);
               ("fluid", Cli_support.fluid_string fluid);
@@ -60,7 +59,7 @@ let solve_cmd =
                 analysis.Choreographer.Workbench.net_fluid_stats
           | None ->
               let analysis =
-                Choreographer.Workbench.analyse_net_file ?method_ ~aggregate ~jobs path
+                Choreographer.Workbench.analyse_net_file ?method_ ~aggregate path
               in
               print_string (Choreographer.Render.net_solve analysis);
               Cli_support.print_solver_stats ()
@@ -73,7 +72,7 @@ let solve_cmd =
               Cli_support.print_fluid_stats analysis.Choreographer.Workbench.fluid_stats
           | None ->
               let analysis =
-                Choreographer.Workbench.analyse_pepa_file ?method_ ~aggregate ~jobs path
+                Choreographer.Workbench.analyse_pepa_file ?method_ ~aggregate path
               in
               print_string (Choreographer.Render.pepa_solve analysis);
               Cli_support.print_solver_stats ())
@@ -88,7 +87,7 @@ let statespace_cmd =
   let limit_arg =
     Arg.(value & opt int 200 & info [ "limit" ] ~docv:"N" ~doc:"Print at most N states.")
   in
-  let run _jobs path net limit aggregate =
+  let run () path net limit aggregate =
     let symmetry = Markov.Lump.symmetry_enabled aggregate in
     Cli_support.handle_errors (fun () ->
         if is_net_file path net then begin
@@ -113,7 +112,7 @@ let statespace_cmd =
       $ Cli_support.aggregate_arg)
 
 let check_cmd =
-  let run _jobs path net =
+  let run () path net =
     Cli_support.handle_errors (fun () ->
         if is_net_file path net then begin
           let space, warnings = load_net path in
@@ -140,7 +139,7 @@ let transient_cmd =
   let time_arg =
     Arg.(required & opt (some float) None & info [ "t"; "time" ] ~docv:"T" ~doc:"Time horizon.")
   in
-  let run _jobs path net time =
+  let run () path net time =
     Cli_support.handle_errors (fun () ->
         if is_net_file path net then begin
           let space, _ = load_net path in
@@ -173,7 +172,7 @@ let export_cmd =
       & info [ "o"; "output" ] ~docv:"BASENAME"
           ~doc:"Basename for the .tra/.sta/.lab files.")
   in
-  let run _jobs path net basename =
+  let run () path net basename =
     Cli_support.handle_errors (fun () ->
         let chain, label_groups =
           if is_net_file path net then begin
@@ -226,7 +225,7 @@ let passage_cmd =
       (fun (t, p) -> Printf.printf "F(%g) = %.6f\n" t p)
       (Markov.Passage.cdf_curve chain ~sources ~targets ~times)
   in
-  let run _jobs path net times action =
+  let run () path net times action =
     Cli_support.handle_errors (fun () ->
         if is_net_file path net then begin
           let space, _ = load_net path in
@@ -263,7 +262,7 @@ let graph_cmd =
       & info [ "k"; "kind" ] ~docv:"KIND"
           ~doc:"What to draw: the reachable statespace, or (for nets) the net structure.")
   in
-  let run _jobs path net output kind =
+  let run () path net output kind =
     Cli_support.handle_errors (fun () ->
         let dot =
           if is_net_file path net then begin
@@ -293,7 +292,7 @@ let query_cmd =
             "Measure expression, e.g. 'throughput(request)' or \
              'passage(request -> response).mean'.")
   in
-  let run _jobs path net query_text =
+  let run () path net query_text =
     Cli_support.handle_errors (fun () ->
         let context =
           if is_net_file path net then

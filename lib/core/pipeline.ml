@@ -7,7 +7,6 @@ type options = {
   max_states : int option;
   aggregate : Markov.Lump.mode;
   fluid : Fluid.Rk45.tolerances option;
-  jobs : int option;
 }
 
 let default_options =
@@ -18,7 +17,6 @@ let default_options =
     max_states = None;
     aggregate = Markov.Lump.No_agg;
     fluid = None;
-    jobs = None;
   }
 
 type outcome = {
@@ -63,7 +61,7 @@ let analyse_activity options interactions diagram =
     let analysis =
       try
         Workbench.analyse_net ~name ?method_:options.method_
-          ?max_markings:options.max_states ~aggregate:options.aggregate ?jobs:options.jobs
+          ?max_markings:options.max_states ~aggregate:options.aggregate
           extraction.Extract.Ad_to_pepanet.net
       with Workbench.Analysis_error msg -> fail "%s" msg
     in
@@ -105,7 +103,7 @@ let analyse_statecharts options charts =
     let analysis =
       try
         Workbench.analyse_pepa ~name ?method_:options.method_ ?max_states:options.max_states
-          ~aggregate:options.aggregate ?jobs:options.jobs extraction.Extract.Sc_to_pepa.model
+          ~aggregate:options.aggregate extraction.Extract.Sc_to_pepa.model
       with Workbench.Analysis_error msg -> fail "%s" msg
     in
     let probabilities =

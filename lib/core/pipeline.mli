@@ -27,12 +27,6 @@ type options = {
           Models with no fluid interpretation (passive cooperation) and
           PEPA nets fall back to the exact solve with a warning.
           Default [None]. *)
-  jobs : int option;
-      (** domain count for the one pooled stage of every extracted
-          model, the power method's sweeps; [Some 0] auto-detects,
-          [None] (the default) leaves the process-wide [Par.jobs]
-          setting in charge.  Results are deterministic and agree with
-          a sequential run. *)
 }
 
 val default_options : options

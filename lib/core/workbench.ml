@@ -67,18 +67,18 @@ let compile_pepa ~name model =
 
 let compile_net ~name net = wrap name (fun () -> Pepanet.Net_compile.compile net)
 
-(* [jobs] is accepted and ignored: exploration is sequential. *)
+(* [jobs] is ignored in the four functions below; perfbench/ still passes it. *)
 let pepa_space ~name ?max_states ?jobs:_ ~symmetry compiled =
   wrap name (fun () -> Pepa.Statespace.build ?max_states ~symmetry compiled)
 
 let net_space ~name ?max_markings ?jobs:_ ~symmetry compiled =
   wrap name (fun () -> Pepanet.Net_statespace.build ?max_markings ~symmetry compiled)
 
-let solve_pepa ~name ?method_ ?jobs ~lump space =
-  wrap name (fun () -> Pepa.Statespace.steady_state ?method_ ?jobs ~lump space)
+let solve_pepa ~name ?method_ ?jobs:_ ~lump space =
+  wrap name (fun () -> Pepa.Statespace.steady_state ?method_ ~lump space)
 
-let solve_net ~name ?method_ ?jobs ~lump space =
-  wrap name (fun () -> Pepanet.Net_statespace.steady_state ?method_ ?jobs ~lump space)
+let solve_net ~name ?method_ ?jobs:_ ~lump space =
+  wrap name (fun () -> Pepanet.Net_statespace.steady_state ?method_ ~lump space)
 
 let pepa_results ~name ~warnings space distribution =
   wrap name (fun () ->
@@ -139,8 +139,8 @@ let net_fluid_results ~name ~warnings form populations =
     ~state_probabilities:(Fluid.Net_form.proportions form populations)
     ~warnings ~approximation:"fluid" ()
 
-let analyse_pepa ?(name = "model") ?method_ ?max_states ?(aggregate = Markov.Lump.No_agg)
-    ?jobs model =
+let analyse_pepa ?(name = "model") ?method_ ?max_states ?(aggregate = Markov.Lump.No_agg) model
+    =
   Obs.Span.with_ ~attrs:[ ("model", Obs.Span.Str name) ] "workbench.analyse_pepa"
     (fun _ ->
       let compiled, warnings = compile_pepa ~name model in
@@ -149,19 +149,19 @@ let analyse_pepa ?(name = "model") ?method_ ?max_states ?(aggregate = Markov.Lum
           compiled
       in
       let distribution =
-        solve_pepa ~name ?method_ ?jobs ~lump:(Markov.Lump.lumping_enabled aggregate) space
+        solve_pepa ~name ?method_ ~lump:(Markov.Lump.lumping_enabled aggregate) space
       in
       let results = pepa_results ~name ~warnings space distribution in
       { space; distribution; results })
 
-let analyse_pepa_string ?(name = "model") ?method_ ?max_states ?aggregate ?jobs src =
+let analyse_pepa_string ?(name = "model") ?method_ ?max_states ?aggregate src =
   let model = parse_pepa ~name src in
-  analyse_pepa ~name ?method_ ?max_states ?aggregate ?jobs model
+  analyse_pepa ~name ?method_ ?max_states ?aggregate model
 
-let analyse_pepa_file ?method_ ?max_states ?aggregate ?jobs path =
+let analyse_pepa_file ?method_ ?max_states ?aggregate path =
   let name = Filename.basename path in
   let model = wrap name (fun () -> Pepa.Parser.model_of_file path) in
-  analyse_pepa ~name ?method_ ?max_states ?aggregate ?jobs model
+  analyse_pepa ~name ?method_ ?max_states ?aggregate model
 
 let analyse_pepa_fluid ?(name = "model") ?tolerances model =
   Obs.Span.with_ ~attrs:[ ("model", Obs.Span.Str name) ] "workbench.analyse_pepa_fluid"
@@ -203,8 +203,8 @@ let analyse_net_fluid_file ?tolerances path =
   let net = wrap name (fun () -> Pepanet.Net_parser.net_of_file path) in
   analyse_net_fluid ~name ?tolerances net
 
-let analyse_net ?(name = "net") ?method_ ?max_markings ?(aggregate = Markov.Lump.No_agg)
-    ?jobs net =
+let analyse_net ?(name = "net") ?method_ ?max_markings ?(aggregate = Markov.Lump.No_agg) net =
+
   Obs.Span.with_ ~attrs:[ ("net", Obs.Span.Str name) ] "workbench.analyse_net"
     (fun _ ->
       let compiled = compile_net ~name net in
@@ -213,8 +213,7 @@ let analyse_net ?(name = "net") ?method_ ?max_markings ?(aggregate = Markov.Lump
           compiled
       in
       let net_distribution =
-        solve_net ~name ?method_ ?jobs ~lump:(Markov.Lump.lumping_enabled aggregate)
-          net_space
+        solve_net ~name ?method_ ~lump:(Markov.Lump.lumping_enabled aggregate) net_space
       in
       let net_results =
         net_results ~name
@@ -223,14 +222,14 @@ let analyse_net ?(name = "net") ?method_ ?max_markings ?(aggregate = Markov.Lump
       in
       { net_space; net_distribution; net_results })
 
-let analyse_net_string ?(name = "net") ?method_ ?max_markings ?aggregate ?jobs src =
+let analyse_net_string ?(name = "net") ?method_ ?max_markings ?aggregate src =
   let net = parse_net ~name src in
-  analyse_net ~name ?method_ ?max_markings ?aggregate ?jobs net
+  analyse_net ~name ?method_ ?max_markings ?aggregate net
 
-let analyse_net_file ?method_ ?max_markings ?aggregate ?jobs path =
+let analyse_net_file ?method_ ?max_markings ?aggregate path =
   let name = Filename.basename path in
   let net = wrap name (fun () -> Pepanet.Net_parser.net_of_file path) in
-  analyse_net ~name ?method_ ?max_markings ?aggregate ?jobs net
+  analyse_net ~name ?method_ ?max_markings ?aggregate net
 
 let fluid_local_probabilities analysis ~leaf =
   Fluid.Vector_form.leaf_proportions analysis.form analysis.populations ~leaf

@@ -50,7 +50,6 @@ val analyse_pepa :
   ?method_:Markov.Steady.method_ ->
   ?max_states:int ->
   ?aggregate:Markov.Lump.mode ->
-  ?jobs:int ->
   Pepa.Syntax.model ->
   pepa_analysis
 (** [aggregate] (default {!Markov.Lump.No_agg}) selects the aggregation
@@ -64,18 +63,13 @@ val analyse_pepa :
     every local-state label, so nothing the disaggregated solution is
     read for depends on how mass is spread within a class.
 
-    [jobs] overrides the process-wide [Par.jobs] default for the
-    power method's sweeps, the one pooled stage; every other stage runs
-    sequentially.  Results are deterministic and agree with a
-    sequential run (power-method probabilities to well under 1e-10,
-    every other method's bitwise). *)
+    Every stage runs on the calling domain. *)
 
 val analyse_pepa_string :
   ?name:string ->
   ?method_:Markov.Steady.method_ ->
   ?max_states:int ->
   ?aggregate:Markov.Lump.mode ->
-  ?jobs:int ->
   string ->
   pepa_analysis
 
@@ -83,7 +77,6 @@ val analyse_pepa_file :
   ?method_:Markov.Steady.method_ ->
   ?max_states:int ->
   ?aggregate:Markov.Lump.mode ->
-  ?jobs:int ->
   string ->
   pepa_analysis
 
@@ -136,7 +129,6 @@ val analyse_net :
   ?method_:Markov.Steady.method_ ->
   ?max_markings:int ->
   ?aggregate:Markov.Lump.mode ->
-  ?jobs:int ->
   Pepanet.Net.t ->
   net_analysis
 (** [aggregate] as in {!analyse_pepa}; the symmetry pass permutes
@@ -148,7 +140,6 @@ val analyse_net_string :
   ?method_:Markov.Steady.method_ ->
   ?max_markings:int ->
   ?aggregate:Markov.Lump.mode ->
-  ?jobs:int ->
   string ->
   net_analysis
 
@@ -156,7 +147,6 @@ val analyse_net_file :
   ?method_:Markov.Steady.method_ ->
   ?max_markings:int ->
   ?aggregate:Markov.Lump.mode ->
-  ?jobs:int ->
   string ->
   net_analysis
 
@@ -184,23 +174,24 @@ val pepa_space :
   name:string -> ?max_states:int -> ?jobs:int -> symmetry:bool -> Pepa.Compile.t ->
   Pepa.Statespace.t
 (** The reachable state space; [symmetry] is
-    [Markov.Lump.symmetry_enabled aggregate].  Exploration is
-    sequential, so [jobs] is accepted and ignored: a cache may serve a
-    space built for a request at any job count. *)
+    [Markov.Lump.symmetry_enabled aggregate].  [jobs] is ignored; its
+    only caller is [perfbench/]. *)
 
 val net_space :
   name:string -> ?max_markings:int -> ?jobs:int -> symmetry:bool -> Pepanet.Net_compile.t ->
   Pepanet.Net_statespace.t
-(** The reachable marking graph; [jobs] is accepted and ignored, as in
-    {!pepa_space}. *)
+(** The reachable marking graph.  [jobs] is ignored; its only caller
+    is [perfbench/]. *)
 
 val solve_pepa :
   name:string -> ?method_:Markov.Steady.method_ -> ?jobs:int -> lump:bool ->
   Pepa.Statespace.t -> float array
+(** [jobs] is ignored; its only caller is [perfbench/]. *)
 
 val solve_net :
   name:string -> ?method_:Markov.Steady.method_ -> ?jobs:int -> lump:bool ->
   Pepanet.Net_statespace.t -> float array
+(** [jobs] is ignored; its only caller is [perfbench/]. *)
 
 val pepa_results :
   name:string -> warnings:string list -> Pepa.Statespace.t -> float array -> Results.t

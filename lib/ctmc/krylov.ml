@@ -8,7 +8,7 @@
    K = D + L on the transposed generator.
 
    The solve runs sequentially: a deterministic function of the chain
-   and the options alone, so its output is the same at every --jobs. *)
+   and the options alone. *)
 
 type outcome = Converged | Breakdown of string | No_convergence
 

@@ -32,9 +32,7 @@
     Determinism: the solve is sequential, and every floating-point
     reduction (dot products, norms, the normalisation sum) folds
     per-chunk partials over a fixed 16,384-entry grid in chunk order —
-    the result is a function of the chain alone, the same at every
-    [--jobs], which is what lets CI diff [--jobs N] runs byte for
-    byte. *)
+    the result is a function of the chain and the options alone. *)
 
 type outcome =
   | Converged  (** residual met the tolerance *)

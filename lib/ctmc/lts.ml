@@ -215,19 +215,15 @@ let lump_partition t ~respect =
       t.lump <- Some part;
       part
 
-let steady_state ?method_ ?options ?jobs ?partition t =
+let steady_state ?method_ ?options ?partition t =
   match partition with
   | Some part when part.Lump.n_classes < t.n_states ->
       let c = columns t in
       let quotient = Lump.quotient_ctmc part ~src:c.src ~dst:c.dst ~rate:c.rate in
-      Lump.disaggregate part (Steady.solve ?method_ ?options ?jobs quotient)
-  | Some _ | None -> Steady.solve ?method_ ?options ?jobs (ctmc t)
+      Lump.disaggregate part (Steady.solve ?method_ ?options quotient)
+  | Some _ | None -> Steady.solve ?method_ ?options (ctmc t)
 
 let transient t ~time =
   let initial = Array.make t.n_states 0.0 in
   initial.(0) <- 1.0;
   Transient.probabilities (ctmc t) ~initial ~t:time
-
-let release t =
-  t.chain <- None;
-  t.lump <- None

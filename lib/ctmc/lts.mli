@@ -103,7 +103,6 @@ val lump_partition : 'l t -> respect:(unit -> int array) -> Lump.t
 val steady_state :
   ?method_:Steady.method_ ->
   ?options:Steady.options ->
-  ?jobs:int ->
   ?partition:Lump.t ->
   'l t ->
   float array
@@ -116,10 +115,3 @@ val steady_state :
 
 val transient : 'l t -> time:float -> float array
 (** Transient distribution at [time], starting from state 0. *)
-
-val release : 'l t -> unit
-(** Drop the cached CTMC (and its transposed generator) and lump
-    partition.  They are rebuilt on demand by the next accessor, so
-    this only trades time for space: callers holding several large
-    spaces at once use it to keep one space's CSR matrices from
-    inflating the other's peak. *)

@@ -129,24 +129,16 @@ let fold_row m i f init =
   iter_row m i (fun j v -> acc := f !acc j v);
   !acc
 
-(* Rows are independent and each y.(i) is one left-to-right dot
-   product, so the parallel version is bitwise identical to the
-   sequential one, which builds no closure. *)
-let mul_rows m x y lo hi =
-  for i = lo to hi - 1 do
+let mul_vec_into m x y =
+  if Array.length x <> m.n_cols then invalid_arg "Sparse.mul_vec_into: dimension mismatch";
+  if Array.length y <> m.n_rows then invalid_arg "Sparse.mul_vec_into: output size mismatch";
+  for i = 0 to m.n_rows - 1 do
     let s = ref 0.0 in
     for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
       s := !s +. (m.values.(k) *. x.(m.col_index.(k)))
     done;
     y.(i) <- !s
   done
-
-let mul_vec_into ?pool m x y =
-  if Array.length x <> m.n_cols then invalid_arg "Sparse.mul_vec_into: dimension mismatch";
-  if Array.length y <> m.n_rows then invalid_arg "Sparse.mul_vec_into: output size mismatch";
-  match pool with
-  | Some p -> Par.parallel_for p ~lo:0 ~hi:m.n_rows (mul_rows m x y)
-  | None -> mul_rows m x y 0 m.n_rows
 
 let mul_vec m x =
   let y = Array.make m.n_rows 0.0 in

@@ -73,13 +73,11 @@ val fold_row : t -> int -> ('a -> int -> float -> 'a) -> 'a -> 'a
 val mul_vec : t -> float array -> float array
 (** [mul_vec m x] is the matrix-vector product [m x]. *)
 
-val mul_vec_into : ?pool:Par.Pool.t -> t -> float array -> float array -> unit
-(** [mul_vec_into m x y] stores [m x] in [y], allocating nothing.  The
-    workhorse of the iterative solvers' residual checks.  Raises
-    [Invalid_argument] on a dimension mismatch.  With [?pool] (the
-    power method's sweeps), rows are computed in parallel; each row is
-    still one left-to-right dot product, so the result is bitwise
-    identical to sequential. *)
+val mul_vec_into : t -> float array -> float array -> unit
+(** [mul_vec_into m x y] stores [m x] in [y], allocating nothing; each
+    row is one left-to-right dot product.  The workhorse of the
+    iterative solvers' residual checks and of the power method's
+    sweeps.  Raises [Invalid_argument] on a dimension mismatch. *)
 
 val vec_mul : float array -> t -> float array
 (** [vec_mul x m] is the vector-matrix product [x m] (row vector times

@@ -32,17 +32,6 @@ let solver_iterations = Obs.Metrics.counter "solver_iterations"
 let solver_residual = Obs.Metrics.gauge "solver_residual"
 let residual_trajectory = Obs.Metrics.series "solver.residual_trajectory"
 let sweep_seconds = Obs.Metrics.histogram "solver.sweep_s"
-let parallel_sweeps = Obs.Metrics.counter "steady.parallel_sweeps"
-
-(* Below this many states a sweep is microseconds and the pool barrier
-   would dominate; power sweeps then stay on the calling domain. *)
-let par_threshold_states = 4096
-
-(* The power method is the one solver whose sweeps run on the domain
-   pool: they measured 1.3-1.7x faster on two domains, where every other
-   pooled branch ran no faster than its sequential twin. *)
-let power_pool ?jobs c =
-  if Ctmc.n_states c >= par_threshold_states then Par.pool ?jobs () else None
 
 let residual c pi =
   let qt = Ctmc.generator_transposed c in
@@ -65,28 +54,6 @@ let normalise_into pi =
   for i = 0 to Array.length pi - 1 do
     pi.(i) <- pi.(i) *. inv
   done
-
-(* Parallel normalisation for pooled power sweeps.  The chunked sum is
-   deterministic for a fixed (length, pool size), so repeated parallel
-   runs agree bitwise; it differs from the sequential left fold only by
-   float re-association, well inside the solver tolerance. *)
-let normalise_into_par p pi =
-  let n = Array.length pi in
-  let total =
-    Par.sum_floats p ~lo:0 ~hi:n (fun lo hi ->
-        let s = ref 0.0 in
-        for i = lo to hi - 1 do
-          s := !s +. pi.(i)
-        done;
-        !s)
-  in
-  if total <= 0.0 then raise (Not_solvable "iteration collapsed to the zero vector");
-  let inv = 1.0 /. total in
-  Par.parallel_for p ~lo:0 ~hi:n (fun lo hi ->
-      for i = lo to hi - 1 do
-        pi.(i) <- pi.(i) *. inv
-      done)
-
 
 (* --------------------------------------------------------------- *)
 (* Direct method                                                    *)
@@ -159,15 +126,12 @@ let prepare_initial n initial =
       normalise_into pi;
       pi
 
-let iterate ?initial ?pool ~method_ ~options ~c ~sweep () =
+let iterate ?initial ~method_ ~options ~c ~sweep () =
   let n = Ctmc.n_states c in
   let qt = Ctmc.generator_transposed c in
   let pi = prepare_initial n initial in
   let work = Array.make n 0.0 in
   let defect = Array.make n 0.0 in
-  let renormalise =
-    match pool with None -> normalise_into | Some p -> normalise_into_par p
-  in
   let obs_on = Obs.Config.enabled () in
   (* Publishing the gauge at every measurement (not just at the end of
      the solve, as before) is what lets the background sampler draw a
@@ -185,7 +149,7 @@ let iterate ?initial ?pool ~method_ ~options ~c ~sweep () =
      already admits the uniform vector.  The residual stays in a local,
      so with telemetry off a check allocates nothing. *)
   while !measuring do
-    Sparse.mul_vec_into ?pool qt pi defect;
+    Sparse.mul_vec_into qt pi defect;
     let m = ref 0.0 in
     for i = 0 to n - 1 do
       let a = abs_float defect.(i) in
@@ -202,11 +166,10 @@ let iterate ?initial ?pool ~method_ ~options ~c ~sweep () =
       let batch_start = if obs_on then Obs.Clock.now () else 0.0 in
       for _ = 1 to batch do
         sweep ~pi ~work;
-        renormalise pi
+        normalise_into pi
       done;
       if obs_on then
         Obs.Metrics.observe sweep_seconds ((Obs.Clock.now () -. batch_start) /. float_of_int batch);
-      if pool <> None then Obs.Metrics.add parallel_sweeps batch;
       iterations := !iterations + batch
     end
   done;
@@ -240,24 +203,18 @@ let solve_relaxed ?initial ~method_ options c omega =
 let solve_sor ?initial options c omega = solve_relaxed ?initial ~method_:(Sor omega) options c omega
 let solve_gauss_seidel ?initial options c = solve_relaxed ?initial ~method_:Gauss_seidel options c 1.0
 
-let solve_power ?initial ?jobs options c =
-  let pool = power_pool ?jobs c in
+let solve_power ?initial options c =
   let n = Ctmc.n_states c in
   let lambda = (Ctmc.max_exit_rate c *. 1.02) +. 1e-9 in
   let qt = Ctmc.generator_transposed c in
   (* pi <- pi (I + Q / lambda), computed through the transpose. *)
-  let axpy lo hi ~pi ~work =
-    for i = lo to hi - 1 do
+  let sweep ~pi ~work =
+    Sparse.mul_vec_into qt pi work;
+    for i = 0 to n - 1 do
       pi.(i) <- pi.(i) +. (work.(i) /. lambda)
     done
   in
-  let sweep ~pi ~work =
-    Sparse.mul_vec_into ?pool qt pi work;
-    match pool with
-    | None -> axpy 0 n ~pi ~work
-    | Some p -> Par.parallel_for p ~lo:0 ~hi:n (fun lo hi -> axpy lo hi ~pi ~work)
-  in
-  iterate ?initial ?pool ~method_:Power ~options ~c ~sweep ()
+  iterate ?initial ~method_:Power ~options ~c ~sweep ()
 
 (* BiCGStab delegates to the Krylov engine; [Krylov] owns its own
    telemetry (same registry handles).  A scalar breakdown is not a
@@ -265,7 +222,7 @@ let solve_power ?initial ?jobs options c =
    method, the always-convergent sweep, and the stats record the
    method that actually produced the answer (the same convention as
    the auto policy's Gauss-Seidel -> Direct fallback). *)
-let solve_bicgstab ?initial ?jobs options c =
+let solve_bicgstab ?initial options c =
   check_no_absorbing c;
   let x0 = prepare_initial (Ctmc.n_states c) initial in
   let r =
@@ -284,14 +241,14 @@ let solve_bicgstab ?initial ?jobs options c =
       Obs.Log.info
         "steady.solve: bicgstab breakdown (%s) after %d sweeps; falling back to power iteration"
         reason r.Krylov.iterations;
-      let pi, iterations, residual = solve_power ~initial:r.Krylov.pi ?jobs options c in
+      let pi, iterations, residual = solve_power ~initial:r.Krylov.pi options c in
       (pi, { method_used = Power; iterations; residual })
 
 let record_stats stats =
   Domain.DLS.set last (Some stats);
   stats
 
-let solve_stats ?method_ ?(options = default_options) ?initial ?jobs c =
+let solve_stats ?method_ ?(options = default_options) ?initial c =
   if Ctmc.n_states c = 0 then
     ([||], record_stats { method_used = Direct; iterations = 0; residual = 0.0 })
   else
@@ -312,8 +269,8 @@ let solve_stats ?method_ ?(options = default_options) ?initial ?jobs c =
               iterative Gauss_seidel (fun () -> solve_gauss_seidel ?initial options c)
           | Some (Sor omega) ->
               iterative (Sor omega) (fun () -> solve_sor ?initial options c omega)
-          | Some Power -> iterative Power (fun () -> solve_power ?initial ?jobs options c)
-          | Some Bicgstab -> solve_bicgstab ?initial ?jobs options c
+          | Some Power -> iterative Power (fun () -> solve_power ?initial options c)
+          | Some Bicgstab -> solve_bicgstab ?initial options c
           | None -> (
               (* Default policy: Gauss-Seidel, falling back to the direct solver
                  for chains it cannot handle (absorbing states, slow mixing). *)
@@ -325,12 +282,6 @@ let solve_stats ?method_ ?(options = default_options) ?initial ?jobs c =
               | Not_solvable _ -> fallback ()
               | Did_not_converge _ -> fallback ())
         in
-        (* Only power sweeps (BiCGStab's fallback included) ran on a
-           pool; every other answer was computed on this domain. *)
-        Obs.Span.add_int span "jobs"
-          (match stats.method_used with
-          | Power -> Option.fold ~none:1 ~some:Par.Pool.size (power_pool ?jobs c)
-          | Direct | Gauss_seidel | Sor _ | Bicgstab -> 1);
         Obs.Span.add_str span "method" (method_name stats.method_used);
         Obs.Span.add_int span "iterations" stats.iterations;
         Obs.Span.add_float span "residual" stats.residual;
@@ -340,5 +291,4 @@ let solve_stats ?method_ ?(options = default_options) ?initial ?jobs c =
           (method_name stats.method_used) stats.iterations stats.residual;
         (pi, record_stats stats))
 
-let solve ?method_ ?options ?initial ?jobs c =
-  fst (solve_stats ?method_ ?options ?initial ?jobs c)
+let solve ?method_ ?options ?initial c = fst (solve_stats ?method_ ?options ?initial c)

@@ -31,8 +31,7 @@ type method_ =
                      products.  On a scalar breakdown the solve falls
                      back to power iteration warm-started from the
                      Krylov candidate, and the returned stats name the
-                     method that produced the answer.  Sequential, so
-                     bitwise the same at every [jobs] count. *)
+                     method that produced the answer. *)
 
 type options = {
   tolerance : float;      (** convergence threshold on the residual
@@ -74,7 +73,6 @@ val solve :
   ?method_:method_ ->
   ?options:options ->
   ?initial:float array ->
-  ?jobs:int ->
   Ctmc.t ->
   float array
 (** Compute the steady-state distribution.  The default method is
@@ -89,22 +87,14 @@ val solve :
     handful of sweeps.  The direct method ignores it.  Raises
     {!Not_solvable} on a dimension mismatch.
 
-    [jobs] overrides the process-wide [Par.jobs] default for the
-    power method, the one solver that uses the domain pool: with an
-    effective count above 1 and at least 4096 states, its sweeps,
-    residual measurement and renormalisation run on the pool — also
-    when it runs as BiCGStab's breakdown fallback.  A pooled power
-    solve agrees with the sequential one to well inside the solver
-    tolerance (only the normalisation sum is re-associated) and is
-    itself deterministic for a fixed jobs count.  Every other method
-    runs on the calling domain, so its result is bitwise independent
-    of [jobs]. *)
+    Every method runs on the calling domain, so the result is a
+    deterministic function of the chain, the method, the options and
+    the warm start. *)
 
 val solve_stats :
   ?method_:method_ ->
   ?options:options ->
   ?initial:float array ->
-  ?jobs:int ->
   Ctmc.t ->
   float array * stats
 (** Like {!solve}, also reporting how the answer was obtained — the

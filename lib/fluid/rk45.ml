@@ -60,6 +60,16 @@ let e5 = -92097.0 /. 339200.0
 let e6 = 187.0 /. 2100.0
 let e7 = 1.0 /. 40.0
 
+(* Local-error control looser than this lets the trajectory oscillate
+   around the fixed point at the edge of the stability region, with a
+   derivative norm that never settles; looser requests run at it. *)
+let loosest_rtol = 1e-4
+
+(* The default steady threshold is a relative rate: [1e3 * rtol] alone
+   would accept a state still moving by a tenth of its size per time
+   unit, and the initial state itself once rtol reached 1e-3. *)
+let loosest_steady_tol = 1e-3
+
 let inf_norm v =
   let m = ref 0.0 in
   Array.iter (fun x -> if Float.abs x > !m then m := Float.abs x) v;
@@ -69,12 +79,15 @@ let integrate ?(tolerances = default_tolerances) ?steady_tol ?(t_max = 1e6)
     ?(max_steps = 2_000_000) ~f ~x0 () =
   if not (tolerances.rtol > 0.0 && tolerances.atol > 0.0) then
     invalid_arg "Rk45.integrate: tolerances must be positive";
+  let tolerances = { tolerances with rtol = Float.min tolerances.rtol loosest_rtol } in
   (* Error control can only track the trajectory down to a deviation of
      about [rtol * ||x||], so the derivative norm plateaus near that
      floor; a steady threshold three decades above it fires reliably
      while staying far below any meaningful flow. *)
   let steady_tol =
-    match steady_tol with Some s -> s | None -> 1e3 *. tolerances.rtol
+    match steady_tol with
+    | Some s -> s
+    | None -> Float.min (1e3 *. tolerances.rtol) loosest_steady_tol
   in
   if not (steady_tol > 0.0) then invalid_arg "Rk45.integrate: steady_tol must be positive";
   Obs.Span.with_

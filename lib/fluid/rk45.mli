@@ -54,10 +54,13 @@ val integrate :
   float array * stats
 (** Integrate from [x0] at time 0 until steady state: the first
     accepted step with [||f||_inf <= steady_tol * max 1 ||x||_inf]
-    ends the run.  [steady_tol] defaults to [1e3 *. rtol]: error
-    control can only track the trajectory down to a deviation of about
-    [rtol * ||x||], so the derivative norm plateaus near that floor
-    and a fixed threshold below it would never fire.  [f] writes the
+    ends the run.  [steady_tol] defaults to [min (1e3 *. rtol) 1e-3]:
+    error control can only track the trajectory down to a deviation of
+    about [rtol * ||x||], so the derivative norm plateaus near that
+    floor and a fixed threshold below it would never fire, while a
+    threshold above [1e-3] could accept the initial state itself.  An
+    [rtol] above [1e-4] runs at [1e-4]: looser control lets the
+    trajectory oscillate around the fixed point instead of settling.  [f] writes the
     derivative into the array it is handed (no allocation per call).
     Small negative entries introduced by local truncation error are
     clamped to zero after each accepted step, keeping population

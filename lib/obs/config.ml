@@ -2,9 +2,9 @@ type level = Quiet | Info | Debug
 
 let current_level = ref Quiet
 
-(* The collection flag is read from every domain (pool workers bump
+(* The collection flag is read from every domain (daemon workers bump
    counters, the sampler polls gauges), so it is an atomic: a plain ref
-   written by the coordinator could stay invisible to another domain
+   written by one domain could stay invisible to another domain
    indefinitely under the OCaml memory model. *)
 let collecting = Atomic.make false
 let interval = ref 8192

@@ -18,7 +18,7 @@ type record = {
   tool : string;  (** e.g. ["choreographer pipeline"] *)
   model : string;  (** input path, or ["-"] when not file-based *)
   model_hash : string;  (** MD5 of the model content, [""] if unknown *)
-  options : (string * string) list;  (** jobs, aggregate, fluid, method, ... *)
+  options : (string * string) list;  (** method, aggregate, fluid, ... *)
   stages : (string * float) list;  (** span name -> total seconds *)
   counters : (string * int) list;
   gauges : (string * float) list;

@@ -1,5 +1,5 @@
-(* Domain-safe registry.  Counters and gauges are atomics (a parallel
-   solve incrementing one counter from several domains loses nothing);
+(* Domain-safe registry.  Counters and gauges are atomics (the daemon's
+   workers incrementing one counter at once lose nothing);
    histograms and series mutate several fields per observation and take
    a tiny per-metric mutex instead.  The registry tables themselves are
    guarded by one lock so get-or-create races cannot corrupt a Hashtbl

@@ -11,11 +11,10 @@
 
     Every operation is domain safe: counters and gauges are atomics,
     histograms and series take a per-metric mutex, and get-or-create
-    itself is serialised — a [--jobs N] solve incrementing a counter
-    from several domains (or the background {!Sampler} pushing series
-    points while a solve runs) loses no updates and never observes a
-    torn registry.  Counter totals under parallel execution therefore
-    equal the sequential totals exactly. *)
+    itself is serialised — the daemon's worker domains incrementing
+    one counter at once (or the background {!Sampler} pushing series
+    points while a solve runs) lose no updates and never observe a
+    torn registry. *)
 
 type counter
 type gauge

@@ -1,10 +1,9 @@
 (* The background sampler: one dedicated domain that polls process
    health at a fixed interval while a solve runs, turning the former
-   end-of-phase aggregates into (time, value) series.  A Par pool is
-   the wrong tool here — pool workers are barrier-synchronised with the
-   coordinator, while the sampler must keep ticking *during* a phase —
-   so the sampler owns a single [Domain.spawn]ed domain instead and
-   relies on {!Metrics} being domain safe.
+   end-of-phase aggregates into (time, value) series.  The sampler
+   must keep ticking *during* a phase, so it owns a single
+   [Domain.spawn]ed domain and relies on {!Metrics} being domain
+   safe.
 
    Built-in samples per tick (x is monotonic seconds since process
    start):

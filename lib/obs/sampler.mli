@@ -7,10 +7,9 @@
     the Chrome trace render.  Without it a 10^6-state exploration is a
     black box until it finishes.
 
-    The sampler runs on its own [Domain] (a {!Par} pool would not do:
-    pool workers are barrier-synchronised with the coordinator, while
-    the sampler must tick {e during} a phase) and depends on
-    {!Metrics} being domain safe.  It never blocks the solve: its only
+    The sampler runs on its own [Domain], because it must tick
+    {e during} a phase, and depends on {!Metrics} being domain
+    safe.  It never blocks the solve: its only
     interaction is atomic metric reads and mutex-guarded series
     pushes.
 

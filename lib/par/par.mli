@@ -1,77 +1,7 @@
-(** Domain-parallel execution built on the OCaml 5 stdlib only
-    ([Domain], [Mutex], [Condition], [Atomic] — no domainslib).
-
-    The module provides two layers:
-
-    - cached pools of worker domains ({!pool}) driven by an epoch /
-      condition-variable handshake (no work stealing, no per-task
-      spawning);
-    - chunked loop helpers ({!parallel_for}, {!sum_floats}) whose
-      floating-point reductions are deterministic for a fixed
-      [(range, pool size)] pair because partials are combined in chunk
-      order.
-
-    The power method's sweeps are the one stage that runs on them: on
-    two domains they measured 1.3–1.7× faster than sequential sweeps.
-    Every other stage — state-space exploration included — lost that
-    measurement and runs sequentially at any job count.
-
-    All entry points are coordinator-only: they must be called from the
-    domain that owns the pool, never from inside a worker body. *)
-
-(** {1 Global jobs configuration} *)
-
-val resolve : int -> int
-(** [resolve jobs] maps a user-facing jobs count to an effective domain
-    count: [0] becomes [Domain.recommended_domain_count ()], positive
-    values are clamped to a small static maximum, and negative values
-    raise [Invalid_argument]. *)
+(** Every solve runs on the domain that asked for it; this library no
+    longer runs anything.  [set_jobs] is kept, doing nothing, only
+    because [perfbench/] still calls it; it goes when that harness is
+    merged with the others. *)
 
 val set_jobs : int -> unit
-(** Set the process-wide default jobs count used when an API's [?jobs]
-    argument is omitted. [set_jobs 0] auto-detects. Raises
-    [Invalid_argument] on negative values. *)
-
-val jobs : unit -> int
-(** The current process-wide default (initially [1] = sequential). *)
-
-val recommended : unit -> int
-(** [Domain.recommended_domain_count ()], exposed for callers that want
-    to gate work on real parallelism being available. *)
-
-(** {1 Domain pools} *)
-
-module Pool : sig
-  type t
-
-  val size : t -> int
-  (** Number of domains, the caller's included. *)
-end
-
-val pool : ?jobs:int -> unit -> Pool.t option
-(** [pool ~jobs ()] returns a cached pool of [resolve jobs] domains, or
-    [None] when the effective count is 1 (sequential execution — the
-    caller should take its ordinary single-threaded path). Pools are
-    cached per size and shut down via [at_exit]. Defaults to the
-    process-wide {!jobs} value. *)
-
-(** {1 Chunked loops}
-
-    All helpers fall back to a direct in-place call when the range fits
-    a single chunk, so they are safe (just pointless) on tiny inputs. *)
-
-val parallel_for :
-  Pool.t -> ?chunk:int -> lo:int -> hi:int -> (int -> int -> unit) -> unit
-(** [parallel_for pool ~lo ~hi f] calls [f start stop] over disjoint
-    sub-ranges covering [lo .. hi - 1] (at most [4 * size] chunks when
-    [?chunk] is omitted). Chunks are claimed from an atomic counter, so
-    the assignment of chunks to workers is nondeterministic — the body
-    must only write to locations owned by its sub-range. If any worker
-    raises, one of the raised exceptions is re-raised after all
-    workers finished, and the pool stays usable. *)
-
-val sum_floats : Pool.t -> lo:int -> hi:int -> (int -> int -> float) -> float
-(** [sum_floats pool ~lo ~hi f] sums the partial results [f start stop]
-    over the chunk grid, combining partials in chunk order — the result
-    is a deterministic function of [(range, pool size, f)], independent
-    of scheduling. *)
+(** Does nothing.  Its only caller is [perfbench/]. *)

@@ -91,7 +91,6 @@ val steady_state :
   ?method_:Markov.Steady.method_ ->
   ?options:Markov.Steady.options ->
   ?lump:bool ->
-  ?jobs:int ->
   t ->
   float array
 (** Steady-state distribution over the explored states.  With

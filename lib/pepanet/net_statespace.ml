@@ -185,9 +185,9 @@ let lump_respect t =
 
 let lump_partition t = Markov.Lts.lump_partition t.lts ~respect:(fun () -> lump_respect t)
 
-let steady_state ?method_ ?options ?(lump = false) ?jobs t =
+let steady_state ?method_ ?options ?(lump = false) t =
   let partition = if lump then Some (lump_partition t) else None in
-  Markov.Lts.steady_state ?method_ ?options ?jobs ?partition t.lts
+  Markov.Lts.steady_state ?method_ ?options ?partition t.lts
 
 let action_names t =
   List.sort_uniq String.compare

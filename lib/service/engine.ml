@@ -122,8 +122,7 @@ let net_compiled entry stages ~name ~source =
     (fun () -> W.compile_net ~name net)
 
 (* Exact solve of a cached PEPA model: derive (keyed by symmetry and
-   the state cap — exploration is sequential, so not by jobs), then
-   solve (keyed by method and lumping). *)
+   the state cap), then solve (keyed by method and lumping). *)
 let pepa_analysis entry stages ~name ~source ~(options : Protocol.options) =
   let compiled, warnings = pepa_compiled entry stages ~name ~source in
   let symmetry = Markov.Lump.symmetry_enabled options.Protocol.aggregate in
@@ -148,8 +147,7 @@ let pepa_analysis entry stages ~name ~source ~(options : Protocol.options) =
     ~inject:(fun (a, d) -> A_pepa_solved (a, d))
     (fun () ->
       let distribution =
-        W.solve_pepa ~name ?method_:options.Protocol.method_ ~jobs:options.Protocol.jobs
-          ~lump space
+        W.solve_pepa ~name ?method_:options.Protocol.method_ ~lump space
       in
       let diagnostics = solver_diagnostics () in
       let results = W.pepa_results ~name ~warnings space distribution in
@@ -179,8 +177,7 @@ let net_analysis entry stages ~name ~source ~(options : Protocol.options) =
     ~inject:(fun (a, d) -> A_net_solved (a, d))
     (fun () ->
       let net_distribution =
-        W.solve_net ~name ?method_:options.Protocol.method_ ~jobs:options.Protocol.jobs
-          ~lump space
+        W.solve_net ~name ?method_:options.Protocol.method_ ~lump space
       in
       let diagnostics = solver_diagnostics () in
       let net_results =
@@ -270,7 +267,6 @@ let pipeline_outcome entry stages ~name ~source ~rates ~(options : Protocol.opti
           max_states = options.Protocol.max_states;
           aggregate = options.Protocol.aggregate;
           fluid = options.Protocol.fluid;
-          jobs = Some options.Protocol.jobs;
         }
       in
       let outcome = Choreographer.Pipeline.process_document ~options:pipeline_options doc in
@@ -282,7 +278,6 @@ let pipeline_outcome entry stages ~name ~source ~rates ~(options : Protocol.opti
 
 let option_pairs_of ~(options : Protocol.options) extra =
   [
-    ("jobs", string_of_int options.Protocol.jobs);
     ("method", Protocol.method_to_string options.Protocol.method_);
     ("aggregate", Markov.Lump.mode_to_string options.Protocol.aggregate);
     ("fluid", Protocol.fluid_to_string options.Protocol.fluid);
@@ -292,25 +287,6 @@ let option_pairs_of ~(options : Protocol.options) extra =
 let entry_key kind source = Protocol.kind_to_string kind ^ ":" ^ Digest.string source
 let fresh_entry () = { lock = Mutex.create (); memo = [] }
 
-(* A request's job count, resolved as the CLI resolves --jobs (0 = this
-   machine's cores) and capped at the daemon's own resolved --jobs, the
-   [jobs_limit] that [stats] reports: without the cap every distinct
-   request value would build a domain pool that lives until exit. *)
-let request_jobs (options : Protocol.options) =
-  min (Par.resolve options.Protocol.jobs) (Par.jobs ())
-
-let normalise (options : Protocol.options) =
-  { options with Protocol.jobs = request_jobs options }
-
-let effective_jobs = function
-  | Protocol.Solve { options; _ }
-  | Protocol.Pipeline { options; _ }
-  | Protocol.Query { options; _ }
-  | Protocol.Reflect { options; _ }
-  | Protocol.Sweep { options; _ } ->
-      request_jobs options
-  | Protocol.Stats | Protocol.Shutdown -> 1
-
 let stats_json t =
   let hits, misses, evictions = Cache.counts t.cache in
   let num n = Obs.Json.Num (float_of_int n) in
@@ -318,7 +294,6 @@ let stats_json t =
     [
       ("uptime_s", Obs.Json.Num (Unix.gettimeofday () -. t.started));
       ("requests", num (with_lock t.count_lock (fun () -> t.request_count)));
-      ("jobs_limit", num (Par.jobs ()));
       ( "cache",
         Obs.Json.Obj
           [
@@ -343,7 +318,6 @@ let handle t request =
         ("choreographerd stats", "-", "", [], fun () -> ok ~data:(stats_json t) ())
     | Protocol.Shutdown -> ("choreographerd shutdown", "-", "", [], fun () -> ok ())
     | Protocol.Solve { kind; name; source; options } ->
-        let options = normalise options in
         let hash = Digest.to_hex (Digest.string source) in
         let pairs =
           option_pairs_of ~options [ ("kind", Protocol.kind_to_string kind) ]
@@ -379,7 +353,6 @@ let handle t request =
         in
         ("choreographerd solve", name, hash, pairs, work)
     | Protocol.Query { kind; name; source; query; options } ->
-        let options = normalise options in
         let hash = Digest.to_hex (Digest.string source) in
         let pairs =
           option_pairs_of ~options
@@ -408,7 +381,6 @@ let handle t request =
         in
         ("choreographerd query", name, hash, pairs, work)
     | Protocol.Pipeline { name; document = source; rates; options } ->
-        let options = normalise options in
         let hash = Digest.to_hex (Digest.string source) in
         let pairs =
           option_pairs_of ~options
@@ -447,7 +419,6 @@ let handle t request =
         in
         ("choreographerd pipeline", name, hash, pairs, work)
     | Protocol.Reflect { name; document = source; rates; options } ->
-        let options = normalise options in
         let hash = Digest.to_hex (Digest.string source) in
         let pairs =
           option_pairs_of ~options
@@ -474,7 +445,6 @@ let handle t request =
         in
         ("choreographerd reflect", name, hash, pairs, work)
     | Protocol.Sweep { kind; name; source; options; axes; backend; warm_start } ->
-        let options = normalise options in
         let hash = Digest.to_hex (Digest.string source) in
         let pairs =
           option_pairs_of ~options

@@ -7,17 +7,11 @@
     space, solved analysis — keyed by the normalised options that
     affect that stage.  A repeated request re-runs nothing; a request
     that changes only the solve method reuses the derived state space;
-    a source change misses the cache entirely.  State spaces are
-    deliberately {e not} keyed by job count (exploration is sequential
-    at every job count), so a space derived for a [--jobs 4] request
-    serves a sequential request and vice versa — one reason daemon
-    responses are byte-identical to one-shot runs at every [--jobs].
+    a source change misses the cache entirely.
 
-    Requests for the same model serialise on the entry's lock;
-    requests for distinct models run concurrently.  The caller (the
-    server) is responsible for routing requests with an
-    {!effective_jobs} above 1 to the domain that owns the [Par]
-    pools. *)
+    Every request runs on the domain that calls {!handle}.  Requests
+    for the same model serialise on the entry's lock; requests for
+    distinct models run concurrently. *)
 
 type t
 
@@ -43,14 +37,6 @@ val handle : t -> Protocol.request -> outcome
     reported with code 125.  [Shutdown] is acknowledged with an empty
     ok response; actually stopping is the server's business. *)
 
-val effective_jobs : Protocol.request -> int
-(** The job count a request runs with: its [jobs] option resolved as
-    the CLI resolves [--jobs] ([0] = this machine's cores), capped at
-    the process-wide [Par.jobs ()] — the daemon's own [--jobs], which
-    {!stats_json} reports as [jobs_limit].  [1] for [stats] and
-    [shutdown].  {!handle} runs every request at this count. *)
-
 val stats_json : t -> Obs.Json.t
 (** The [stats] verb payload: uptime, request count, cache occupancy
-    and lifetime hit/miss/eviction counts, and the effective parallel
-    job limit. *)
+    and lifetime hit/miss/eviction counts. *)

@@ -4,7 +4,6 @@ type options = {
   method_ : Markov.Steady.method_ option;
   aggregate : Markov.Lump.mode;
   fluid : Fluid.Rk45.tolerances option;
-  jobs : int;
   max_states : int option;
   restart : [ `Cycle | `Absorb ];
 }
@@ -14,7 +13,6 @@ let default_options =
     method_ = None;
     aggregate = Markov.Lump.No_agg;
     fluid = None;
-    jobs = 1;
     max_states = None;
     restart = `Cycle;
   }
@@ -186,7 +184,6 @@ let options_to_json o =
       ("method", Str (method_to_string o.method_));
       ("aggregate", Str (Markov.Lump.mode_to_string o.aggregate));
       ("fluid", Str (fluid_to_string o.fluid));
-      ("jobs", Num (float_of_int o.jobs));
       ("max_states", (match o.max_states with None -> Null | Some n -> Num (float_of_int n)));
       ("restart", Str (match o.restart with `Cycle -> "cycle" | `Absorb -> "absorb"));
     ]
@@ -211,12 +208,6 @@ let options_of_json json =
   match member "options" json with
   | None | Some Null -> default_options
   | Some o ->
-      let jobs =
-        match member "jobs" o with
-        | None -> 1
-        | Some (Num v) -> count_field "jobs" v
-        | Some _ -> fail "field jobs is not a number"
-      in
       let max_states =
         match member "max_states" o with
         | None | Some Null -> None
@@ -234,7 +225,6 @@ let options_of_json json =
         method_ = parsed_field "method" method_of_string ~absent:None o;
         aggregate = parsed_field "aggregate" aggregate_of_string ~absent:Markov.Lump.No_agg o;
         fluid = parsed_field "fluid" fluid_of_string ~absent:None o;
-        jobs;
         max_states;
         restart;
       }

@@ -13,15 +13,13 @@ type options = {
   aggregate : Markov.Lump.mode;
   fluid : Fluid.Rk45.tolerances option;  (** [Some _] switches the solve verbs
                                              to the ODE approximation *)
-  jobs : int;  (** as the CLI [--jobs]: 1 sequential, 0 auto-detect; the
-                  daemon caps it at its own [--jobs] *)
   max_states : int option;
   restart : [ `Cycle | `Absorb ];  (** pipeline/reflect extraction policy *)
 }
 
 val default_options : options
 (** The one-shot CLI defaults: auto method, no aggregation, exact
-    solve, [jobs = 1], unlimited states, cycling restart. *)
+    solve, unlimited states, cycling restart. *)
 
 type axis = {
   target : [ `Rate of string | `Replicas of string ];
@@ -77,7 +75,9 @@ type response =
 exception Protocol_error of string
 (** Raised by the decoders on JSON that is well-formed but not a valid
     request/response (unknown verb, missing field, bad option value,
-    a [jobs] or [max_states] that is not an integer in [[0, 2^53]]). *)
+    a [max_states] that is not an integer in [[0, 2^53]]).  Unknown
+    option fields are ignored, so an older client's [jobs] is
+    accepted. *)
 
 (** {1 Option values}
 

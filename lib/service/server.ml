@@ -97,10 +97,6 @@ type t = {
   engine : Engine.t;
   listeners : Unix.file_descr list;
   stop : bool Atomic.t;
-  exec_lock : Mutex.t;
-  exec_cond : Condition.t;
-  exec_queue : (unit -> unit) Queue.t;
-  live_workers : int Atomic.t;
   socket_unlinked : bool Atomic.t;
 }
 
@@ -112,39 +108,9 @@ let unlink_socket t =
   if not (Atomic.exchange t.socket_unlinked true) then
     try Unix.unlink t.config.socket_path with Unix.Unix_error _ -> ()
 
-(* Ship [thunk] to the main domain (the [Par] pool owner) and block the
-   calling worker until it has run there. *)
-let submit_to_main t thunk =
-  let lock = Mutex.create () in
-  let cond = Condition.create () in
-  let cell = ref None in
-  let wrapped () =
-    let outcome = try Ok (thunk ()) with e -> Error e in
-    Mutex.lock lock;
-    cell := Some outcome;
-    Condition.signal cond;
-    Mutex.unlock lock
-  in
-  Mutex.lock t.exec_lock;
-  Queue.push wrapped t.exec_queue;
-  Condition.signal t.exec_cond;
-  Mutex.unlock t.exec_lock;
-  Mutex.lock lock;
-  while Option.is_none !cell do
-    Condition.wait cond lock
-  done;
-  Mutex.unlock lock;
-  match !cell with
-  | Some (Ok v) -> v
-  | Some (Error e) -> raise e
-  | None -> assert false
-
 let initiate_stop t =
   Atomic.set t.stop true;
-  unlink_socket t;
-  Mutex.lock t.exec_lock;
-  Condition.broadcast t.exec_cond;
-  Mutex.unlock t.exec_lock
+  unlink_socket t
 
 let emit_ledger t (outcome : Engine.outcome) before =
   match (t.config.ledger, before) with
@@ -173,11 +139,7 @@ let process t payload =
          is configured: a full snapshot copies every retained series
          point. *)
       let before = Option.map (fun _ -> Obs.Metrics.scalar_snapshot ()) t.config.ledger in
-      let outcome =
-        if Engine.effective_jobs request > 1 && not (Atomic.get t.stop) then
-          submit_to_main t (fun () -> Engine.handle t.engine request)
-        else Engine.handle t.engine request
-      in
+      let outcome = Engine.handle t.engine request in
       (match request with
       | Protocol.Stats | Protocol.Shutdown -> ()
       | _ -> emit_ledger t outcome before);
@@ -218,7 +180,6 @@ let handle_connection t fd =
   | exn -> Obs.Log.info "connection dropped: %s" (Printexc.to_string exn)
 
 let worker_loop t =
-  Fun.protect ~finally:(fun () -> Atomic.decr t.live_workers) @@ fun () ->
   let rec loop () =
     if not (Atomic.get t.stop) then begin
       (match Unix.select t.listeners [] [] 0.25 with
@@ -239,39 +200,6 @@ let worker_loop t =
     end
   in
   loop ()
-
-(* Main-domain loop: run queued jobs>1 requests until shutdown, then
-   keep draining until every worker has exited (a worker may enqueue a
-   job between the stop flag flipping and its own exit — leaving it
-   queued would deadlock the join). *)
-let executor_loop t =
-  let pop_job () =
-    Mutex.lock t.exec_lock;
-    while Queue.is_empty t.exec_queue && not (Atomic.get t.stop) do
-      Condition.wait t.exec_cond t.exec_lock
-    done;
-    let job = Queue.take_opt t.exec_queue in
-    Mutex.unlock t.exec_lock;
-    job
-  in
-  let rec serve () =
-    match pop_job () with
-    | Some job ->
-        job ();
-        serve ()
-    | None -> if not (Atomic.get t.stop) then serve ()
-  in
-  serve ();
-  let rec drain () =
-    if Atomic.get t.live_workers > 0 then begin
-      Mutex.lock t.exec_lock;
-      let job = Queue.take_opt t.exec_queue in
-      Mutex.unlock t.exec_lock;
-      (match job with Some job -> job () | None -> Unix.sleepf 0.01);
-      drain ()
-    end
-  in
-  drain ()
 
 let make_unix_listener path =
   ensure_parent_dir path;
@@ -310,16 +238,11 @@ let run ?(on_ready = fun () -> ()) config =
       engine = Engine.create ~cache_capacity:config.cache_capacity ();
       listeners;
       stop = Atomic.make false;
-      exec_lock = Mutex.create ();
-      exec_cond = Condition.create ();
-      exec_queue = Queue.create ();
-      live_workers = Atomic.make workers;
       socket_unlinked = Atomic.make false;
     }
   in
   let domains = List.init workers (fun _ -> Domain.spawn (fun () -> worker_loop t)) in
   on_ready ();
-  executor_loop t;
   List.iter Domain.join domains;
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listeners;
   unlink_socket t

@@ -8,16 +8,10 @@
     the metrics registry in Prometheus exposition format (scrape
     [GET /metrics] with [curl --unix-socket]).
 
-    Concurrency model: [workers] domains accept and serve connections;
-    a request whose effective job count ({!Engine.effective_jobs}: its
-    [jobs] capped at the daemon's own [--jobs]) is 1 — the default —
-    runs entirely on its worker, so distinct models solve in parallel.
-    [Par] pools are coordinator-only, so a request running at a count
-    above 1 is shipped to the main domain — the one that called {!run}
-    and owns the pools — and such requests serialise among themselves
-    while jobs=1 traffic keeps flowing on the workers.  An exception
-    escaping one request closes that connection; the worker goes on
-    serving. *)
+    Concurrency model: [workers] domains accept and serve connections,
+    and each request runs entirely on the worker that read it, so
+    distinct models solve in parallel.  An exception escaping one
+    request closes that connection; the worker goes on serving. *)
 
 type config = {
   socket_path : string;
@@ -32,9 +26,8 @@ val default_socket_path : unit -> string
 (** [$CHOREOGRAPHER_SOCKET] if set, else [~/.choreographer/daemon.sock]. *)
 
 val run : ?on_ready:(unit -> unit) -> config -> unit
-(** Serve until a [shutdown] request arrives, then drain and return.
-    Must be called from the domain that owns the [Par] pools (the
-    process's main domain, in the daemon binary).  [on_ready] fires
+(** Serve until a [shutdown] request arrives, then join the worker
+    domains and return.  [on_ready] fires
     once the listeners are bound and the workers started — the hook
     the daemon uses to announce readiness and tests use to
     synchronise.  Enables telemetry collection (the metrics endpoint

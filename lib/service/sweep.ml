@@ -118,7 +118,6 @@ let run ~name ~model ~(options : Protocol.options) ~axes ~backend ~warm_start =
               in
               let pi, stats =
                 Markov.Steady.solve_stats ?method_:options.Protocol.method_ ?initial
-                  ~jobs:options.Protocol.jobs
                   (Pepa.Statespace.ctmc space)
               in
               previous := Some pi;
@@ -131,7 +130,7 @@ let run ~name ~model ~(options : Protocol.options) ~axes ~backend ~warm_start =
               in
               let pi =
                 Choreographer.Workbench.solve_pepa ~name ?method_:options.Protocol.method_
-                  ~jobs:options.Protocol.jobs ~lump:true space
+                  ~lump:true space
               in
               previous := None;
               let iterations =

@@ -79,7 +79,8 @@ let test_net_pinned () =
    iterate's arithmetic): the symmetric replicated model and the net
    with interchangeable cells (960 markings, 288 under symmetry) under
    both aggregation passes, with the net's reduced marking list, and a
-   2,197-state tandem under the stationary sweeps.  The tandem is
+   2,197-state tandem under the stationary sweeps and power
+   iteration.  The tandem is
    written as [tandem12.pepa] in a fresh directory, since [solve]
    prints the model's file name. *)
 let test_solve_pinned () =
@@ -122,6 +123,7 @@ let test_solve_pinned () =
             [ "--aggregate"; "symmetry" ] );
           ("tandem12.pepa.solve_gauss_seidel", "solve", tandem, [ "--method"; "gauss-seidel" ]);
           ("tandem12.pepa.solve_sor_1.2", "solve", tandem, [ "--method"; "sor:1.2" ]);
+          ("tandem12.pepa.solve_power", "solve", tandem, [ "--method"; "power" ]);
         ])
 
 let temp_file suffix contents =

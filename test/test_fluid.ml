@@ -60,6 +60,31 @@ let test_rk45_divergence () =
   | exception Fluid.Rk45.Did_not_reach_steady { t; _ } ->
       Alcotest.(check bool) "stopped at the horizon" true (t >= 10.0)
 
+(* The 16-processor pool starts with derivative norm 8 against a
+   population norm of 16.  A steady threshold scaled only by rtol
+   reached that ratio at rtol 1e-3, and the run stopped at t = 0 with
+   task throughput 8; at every tolerance the run must move and land
+   near the fluid fixed point, 40/7. *)
+let test_rk45_loose_tolerances () =
+  let form = Fluid.Vector_form.of_string (pool_model 16 4) in
+  let f ~t:_ ~x ~dx = Fluid.Vector_form.derivative form x dx in
+  List.iter
+    (fun rtol ->
+      let x, stats =
+        Fluid.Rk45.integrate
+          ~tolerances:{ Fluid.Rk45.default_tolerances with Fluid.Rk45.rtol }
+          ~f ~x0:(Fluid.Vector_form.initial form) ()
+      in
+      let what = Printf.sprintf "rtol %g" rtol in
+      Alcotest.(check bool) (what ^ ": steps taken") true (stats.Fluid.Rk45.steps > 0);
+      Alcotest.(check bool) (what ^ ": reached steady") true stats.Fluid.Rk45.reached_steady;
+      let task = Fluid.Vector_form.throughput form x "task" in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: task throughput %.6f near 40/7" what task)
+        true
+        (rel_err ~exact:(40.0 /. 7.0) task < 1e-4))
+    [ 1e-1; 1e-2; 3e-3; 1e-3; 1e-4; 1e-6; 1e-8 ]
+
 (* ------------------------------------------------------------------ *)
 (* Vector form                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -441,4 +466,5 @@ let suite =
     Alcotest.test_case "pipeline fluid mode and fallback" `Quick test_pipeline_fluid;
     Alcotest.test_case "bit-identity with the pre-IR vector form" `Quick test_bit_identity;
     Alcotest.test_case "three-way roaming agreement" `Slow test_three_way_roaming;
+    Alcotest.test_case "rk45 never stops at t = 0" `Quick test_rk45_loose_tolerances;
   ]

@@ -232,7 +232,7 @@ let test_solves_allocate_linearly () =
       let solve tolerance =
         let options = { St.default_options with tolerance } in
         let words, (_, stats) =
-          alloc_words (fun () -> St.solve_stats ~method_ ~options ~jobs:1 c)
+          alloc_words (fun () -> St.solve_stats ~method_ ~options c)
         in
         Alcotest.(check string)
           (name ^ " solved by itself")

@@ -35,7 +35,6 @@ let () =
       ("code-mobility", Test_code_mobility.suite);
       ("properties", Test_props.suite);
       ("aggregation", Test_aggregate.suite);
-      ("parallel", Test_parallel.suite);
       ("fluid", Test_fluid.suite);
     ("fluid-net", Test_fluid_net.suite);
       ("assets", Test_assets.suite);

@@ -100,7 +100,6 @@ let test_protocol_roundtrip () =
       Service.Protocol.method_ = Some (Markov.Steady.Sor 1.5);
       aggregate = Markov.Lump.Both;
       fluid = Some { Fluid.Rk45.rtol = 1e-6; atol = 1e-10 };
-      jobs = 4;
       max_states = Some 100_000;
       restart = `Absorb;
     }
@@ -194,9 +193,6 @@ let test_protocol_rejects () =
             (has_infix field msg)
       | _ -> Alcotest.failf "%s = %g accepted" field v)
     [
-      ("jobs", 4.611686018427388e18);
-      ("jobs", -1.0);
-      ("jobs", 1.5);
       ("max_states", 1e300);
       ("max_states", -5.0);
       ("max_states", 0.5);
@@ -376,35 +372,6 @@ let test_engine_error_contract () =
       Alcotest.(check string) "CLI stderr bytes" expected message
   | Service.Protocol.Ok_response _ -> Alcotest.fail "expected an error response"
 
-(* A request's job count is capped at the daemon's own --jobs (this
-   process's [Par.jobs ()]): asking for 64 domains must not build a
-   64-domain pool. *)
-let test_engine_caps_request_jobs () =
-  let engine = Service.Engine.create () in
-  Par.set_jobs 2;
-  Fun.protect
-    ~finally:(fun () -> Par.set_jobs 1)
-    (fun () ->
-      List.iter
-        (fun (asked, runs) ->
-          let request =
-            solve_request
-              ~options:{ default with Service.Protocol.jobs = asked }
-              ~name:"mm1k.pepa" (mm1k ())
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "jobs %d runs at %d" asked runs)
-            runs
-            (Service.Engine.effective_jobs request);
-          let outcome = Service.Engine.handle engine request in
-          Alcotest.(check (option string))
-            (Printf.sprintf "jobs %d recorded as %d" asked runs)
-            (Some (string_of_int runs))
-            (List.assoc_opt "jobs" outcome.Service.Engine.option_pairs))
-        [ (64, 2); (2, 2); (1, 1); (0, min 2 (Par.resolve 0)) ];
-      Alcotest.(check int) "stats and shutdown are sequential" 1
-        (Service.Engine.effective_jobs Service.Protocol.Stats))
-
 (* ------------------------------------------------------------------ *)
 (* Ingest                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -475,7 +442,7 @@ let test_sweep_axis_validation () =
 (* One framed exchange on a fresh connection, with a receive timeout
    so a daemon that stopped answering fails the test instead of hanging
    it. *)
-let raw_exchange socket payload =
+let raw_reply socket payload =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
@@ -484,10 +451,13 @@ let raw_exchange socket payload =
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
       Service.Frame.write fd payload;
       match Service.Frame.read fd with
-      | Some reply -> Service.Protocol.response_of_json (Obs.Json.of_string reply)
+      | Some reply -> reply
       | None -> Alcotest.fail "daemon closed the connection without answering"
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           Alcotest.fail "daemon did not answer within 10 s")
+
+let raw_exchange socket payload =
+  Service.Protocol.response_of_json (Obs.Json.of_string (raw_reply socket payload))
 
 let with_server ?(workers = 2) f =
   let socket_path = Filename.temp_file "choreographerd" ".sock" in
@@ -719,18 +689,23 @@ let raw_solve_frame ~options =
     (Obs.Json.to_string (Obs.Json.Str (mm1k ())))
     options
 
-(* A job count of 2^62 wraps to a negative int under [int_of_float];
+(* A count of 2^62 wraps to a negative int under [int_of_float];
    decoding must reject it as an invalid request, and the worker that
    read the frame must go on serving.  With one worker, a lost worker
-   would leave the next request unanswered. *)
+   would leave the next request unanswered.  The frame's out-of-range
+   "jobs", an option older clients send, is ignored; its "max_states"
+   is what the count-field decoder rejects. *)
 let test_daemon_survives_out_of_range_jobs () =
   with_server ~workers:1 (fun ~socket ~ledger:_ ->
-      let frame = raw_solve_frame ~options:{|{"jobs":4.611686018427388e18}|} in
+      let frame =
+        raw_solve_frame
+          ~options:{|{"jobs":4.611686018427388e18,"max_states":4.611686018427388e18}|}
+      in
       (match raw_exchange socket frame with
       | Service.Protocol.Error_response { code; message } ->
           Alcotest.(check int) "invalid request code" 1 code;
-          Alcotest.(check bool) "names the field" true (has_infix "jobs" message)
-      | Service.Protocol.Ok_response _ -> Alcotest.fail "out-of-range jobs accepted");
+          Alcotest.(check bool) "names the field" true (has_infix "max_states" message)
+      | Service.Protocol.Ok_response _ -> Alcotest.fail "out-of-range max_states accepted");
       let next =
         Obs.Json.to_string
           (Service.Protocol.request_to_json (solve_request ~name:"mm1k.pepa" (mm1k ())))
@@ -739,6 +714,18 @@ let test_daemon_survives_out_of_range_jobs () =
       | Service.Protocol.Ok_response { output; _ } ->
           Alcotest.(check bool) "next request answered" true (output <> "")
       | Service.Protocol.Error_response { message; _ } -> Alcotest.fail message)
+
+(* Every solve runs on the worker that read it, so an older client's
+   "jobs" option changes nothing: whatever its value, the reply is the
+   bytes of the same frame without it. *)
+let test_daemon_ignores_jobs () =
+  with_server (fun ~socket ~ledger:_ ->
+      let expected = raw_reply socket (raw_solve_frame ~options:"{}") in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string) ("reply with jobs " ^ jobs) expected
+            (raw_reply socket (raw_solve_frame ~options:(Printf.sprintf {|{"jobs":%s}|} jobs))))
+        [ "4"; "-1" ])
 
 (* The built executables, run as subprocesses. *)
 let built_exe name =
@@ -820,7 +807,8 @@ let test_daemon_survives_deep_frame () =
 
 (* Jacobi is gone: both CLIs reject it as an invalid option value (exit
    2, valid choices listed) and the daemon as an invalid request (code
-   1, same list). *)
+   1, same list).  --jobs is gone too: both CLIs reject it as an
+   unknown option (exit 2). *)
 let run_cli exe args =
   let err = Filename.temp_file "cli" ".err" in
   Fun.protect
@@ -848,6 +836,15 @@ let test_jacobi_rejected_everywhere () =
           "pipeline"; "--input"; asset "pda.uml"; "--output"; Filename.null; "--method";
           "jacobi";
         ] );
+    ];
+  List.iter
+    (fun (cli, args) ->
+      let code, _ = run_cli (built_exe cli) args in
+      Alcotest.(check int) (cli ^ " rejects --jobs") 2 code)
+    [
+      ("workbench_main.exe", [ "solve"; asset "mm1k.pepa"; "--jobs"; "2" ]);
+      ( "choreographer_main.exe",
+        [ "pipeline"; "--input"; asset "pda.uml"; "--output"; Filename.null; "--jobs"; "2" ] );
     ];
   with_server (fun ~socket ~ledger:_ ->
       match raw_exchange socket (raw_solve_frame ~options:{|{"method":"jacobi"}|}) with
@@ -933,7 +930,6 @@ let suite =
     Alcotest.test_case "engine solve = workbench" `Quick test_engine_solve_matches_workbench;
     Alcotest.test_case "engine query" `Quick test_engine_query;
     Alcotest.test_case "engine error contract" `Quick test_engine_error_contract;
-    Alcotest.test_case "engine caps request jobs" `Quick test_engine_caps_request_jobs;
     Alcotest.test_case "ingest" `Quick test_ingest;
     Alcotest.test_case "sweep warm = cold" `Quick test_sweep_warm_equals_cold;
     Alcotest.test_case "sweep axis validation" `Quick test_sweep_axis_validation;
@@ -944,6 +940,7 @@ let suite =
     Alcotest.test_case "daemon sweep and shutdown" `Quick test_daemon_sweep_and_shutdown;
     Alcotest.test_case "daemon survives out-of-range jobs" `Quick
       test_daemon_survives_out_of_range_jobs;
+    Alcotest.test_case "daemon ignores an older client's jobs" `Quick test_daemon_ignores_jobs;
     Alcotest.test_case "daemon survives a deep frame" `Quick test_daemon_survives_deep_frame;
     Alcotest.test_case "jacobi rejected by CLIs and daemon" `Quick test_jacobi_rejected_everywhere;
     Alcotest.test_case "workbench malformed models exit 1" `Quick
