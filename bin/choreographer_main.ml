@@ -35,8 +35,6 @@ let rates_arg =
     & opt (some file) None
     & info [ "r"; "rates" ] ~docv:"FILE" ~doc:"Rates file (activity = rate lines).")
 
-let method_arg = Cli_support.method_arg
-
 let absorb_arg =
   Arg.(
     value & flag
@@ -44,31 +42,31 @@ let absorb_arg =
         ~doc:
           "Keep terminating behaviour instead of cycling tokens back to their initial activity.")
 
-let options_of rates_path method_ absorb aggregate fluid =
-  {
-    Choreographer.Pipeline.default_options with
-    rates = load_rates rates_path;
-    method_;
-    restart = (if absorb then `Absorb else `Cycle);
-    aggregate;
-    fluid;
-  }
+(* The options of the document verbs: the solve options plus the
+   extraction's restart policy. *)
+let document_options_term =
+  let make options absorb =
+    { options with Service.Protocol.restart = (if absorb then `Absorb else `Cycle) }
+  in
+  Term.(const make $ Cli_support.solve_options_term $ absorb_arg)
+
+let reflected_arg =
+  Arg.(
+    required
+    & opt (some string) None
+    & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Reflected XMI output file.")
+
+let xmltable_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "xmltable" ] ~docv:"FILE" ~doc:"Also write results as an .xmltable document.")
 
 (* ------------------------------------------------------------------ *)
 
+(* The pipeline answers its request with an engine created in this
+   process, exactly as the daemon answers [client pipeline]. *)
 let pipeline_cmd =
-  let output_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Reflected XMI output file.")
-  in
-  let xmltable_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "xmltable" ] ~docv:"FILE" ~doc:"Also write results as an .xmltable document.")
-  in
   let html_arg =
     Arg.(
       value
@@ -76,44 +74,24 @@ let pipeline_cmd =
       & info [ "html" ] ~docv:"FILE"
           ~doc:"Also write a self-contained HTML report (the Figure 7 view).")
   in
-  let run () input output rates_path method_ absorb aggregate fluid xmltable html =
+  let run () input output rates options xmltable html =
     Cli_support.handle_errors (fun () ->
-        let options = options_of rates_path method_ absorb aggregate fluid in
         Cli_support.arm_ledger ~tool:"choreographer pipeline" ~model:input
           ~options:
-            [
-              ("method", Cli_support.method_string method_);
-              ("aggregate", Markov.Lump.mode_to_string aggregate);
-              ("fluid", Cli_support.fluid_string fluid);
-              ("absorb", string_of_bool absorb);
-            ];
-        let doc = read_document input in
-        let outcome = Choreographer.Pipeline.process_document ~options doc in
-        Cli_support.print_solver_stats ();
-        Xml_kit.Minixml.write_file output outcome.Choreographer.Pipeline.reflected;
-        List.iter
-          (fun results -> print_string (Choreographer.Render.results results))
-          outcome.Choreographer.Pipeline.results;
-        (match xmltable with
-        | Some path ->
-            let tables =
-              List.map Choreographer.Results.to_xmltable
-                outcome.Choreographer.Pipeline.results
-            in
-            Xml_kit.Minixml.write_file path
-              (Xml_kit.Minixml.Element ("resultsets", [], tables))
-        | None -> ());
-        (match html with
-        | Some path -> Choreographer.Html_report.write ~path outcome
-        | None -> ());
-        Printf.printf "reflected model written to %s\n" output)
+            (Service.Engine.option_pairs options
+               [ ("absorb", string_of_bool (options.Service.Protocol.restart = `Absorb)) ]);
+        let request =
+          Cli_support.document_request ~reflect_only:false ~input ~rates options
+        in
+        let outcome = Cli_support.in_process request in
+        Cli_support.print_pipeline_reply ~output ?xmltable ?html
+          ?outcome:outcome.Service.Engine.pipeline outcome.Service.Engine.response)
   in
   Cmd.v
     (Cmd.info "pipeline" ~doc:"Extract, analyse and reflect a UML model (the full tool chain).")
     Term.(
-      const run $ Cli_support.telemetry_term $ input_arg $ output_arg $ rates_arg $ method_arg
-      $ absorb_arg $ Cli_support.aggregate_arg $ Cli_support.fluid_arg $ xmltable_arg
-      $ html_arg)
+      const run $ Cli_support.telemetry_term $ input_arg $ reflected_arg $ rates_arg
+      $ document_options_term $ xmltable_arg $ html_arg)
 
 let extract_cmd =
   let output_arg =
@@ -216,9 +194,10 @@ let strip_cmd =
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Stripped XMI output file.")
   in
   let run () input output =
-    let doc = read_document input in
-    Xml_kit.Minixml.write_file output (Uml.Poseidon.strip doc);
-    Printf.printf "metamodel-conformant XMI written to %s\n" output
+    Cli_support.handle_errors (fun () ->
+        let doc = read_document input in
+        Xml_kit.Minixml.write_file output (Uml.Poseidon.strip doc);
+        Printf.printf "metamodel-conformant XMI written to %s\n" output)
   in
   Cmd.v
     (Cmd.info "strip" ~doc:"Run the Poseidon preprocessor only (remove tool-specific layout).")
@@ -404,10 +383,11 @@ let obs_cmd =
 (* ------------------------------------------------------------------ *)
 (* The daemon client: the analysis verbs served by choreographerd.     *)
 (*                                                                     *)
-(* Files are read (and, for documents, validated) locally, so a bad    *)
-(* input fails with the exact bytes and exit code of the one-shot      *)
-(* tools before anything crosses the wire; the daemon then sees only   *)
-(* model sources, never the client's filesystem.                       *)
+(* Each verb builds the request its one-shot command answers in        *)
+(* process and sends it to the daemon, which parses and labels the     *)
+(* files exactly as the one-shot engine does: same bytes, same exit    *)
+(* codes.  The daemon sees only file contents, never the client's      *)
+(* filesystem.                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let client_socket_arg =
@@ -437,69 +417,32 @@ let client_tcp_arg =
     & opt (some client_tcp_conv) None
     & info [ "tcp" ] ~docv:"HOST:PORT" ~doc:"Connect over TCP instead of the Unix socket.")
 
-let with_conn socket tcp f =
-  match Service.Client.connect ?socket ?tcp () with
-  | exception Service.Client.Connection_error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
-  | conn ->
-      Fun.protect ~finally:(fun () -> Service.Client.close conn) (fun () ->
-          try f conn
-          with Service.Client.Connection_error msg ->
-            Printf.eprintf "error: %s\n" msg;
-            exit 1)
-
-(* Replay the daemon's answer with the one-shot CLI's contract: an
-   error response carries the exact stderr bytes and exit code the
-   local tool would have produced. *)
-let ok_or_exit = function
-  | Service.Protocol.Ok_response { output; diagnostics; data } -> (output, diagnostics, data)
-  | Service.Protocol.Error_response { code; message } ->
-      Printf.eprintf "%s%!" message;
-      exit code
-
-let read_source path =
-  try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error msg ->
+(* Send one request; a daemon that cannot be reached is an error with
+   exit 1. *)
+let remote socket tcp request =
+  let connection_error msg =
     Printf.eprintf "error: %s\n" msg;
     exit 1
-
-let kind_of path explicit_net =
-  if explicit_net || Filename.check_suffix path ".pepanet" then Service.Protocol.Net
-  else Service.Protocol.Pepa
-
-let net_flag_arg =
-  Arg.(value & flag & info [ "net" ] ~doc:"Force PEPA net interpretation regardless of suffix.")
-
-let model_pos_arg =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"MODEL" ~doc:"A .pepa or .pepanet file.")
-
-let client_options method_ aggregate fluid absorb =
-  {
-    Service.Protocol.default_options with
-    method_;
-    aggregate;
-    fluid;
-    restart = (if absorb then `Absorb else `Cycle);
-  }
+  in
+  match Service.Client.connect ?socket ?tcp () with
+  | exception Service.Client.Connection_error msg -> connection_error msg
+  | conn -> (
+      Fun.protect
+        ~finally:(fun () -> Service.Client.close conn)
+        (fun () ->
+          try Service.Client.request conn request
+          with Service.Client.Connection_error msg -> connection_error msg))
 
 let client_solve_cmd =
-  let run socket tcp path net method_ aggregate fluid =
-    let options = client_options method_ aggregate fluid false in
-    let request =
-      Service.Protocol.Solve
-        { kind = kind_of path net; name = Filename.basename path; source = read_source path; options }
-    in
-    with_conn socket tcp (fun conn ->
-        let output, diagnostics, _ = ok_or_exit (Service.Client.request conn request) in
-        print_string output;
-        Printf.eprintf "%s%!" diagnostics)
+  let run socket tcp path net options =
+    Cli_support.handle_errors (fun () ->
+        Cli_support.print_reply (remote socket tcp (Cli_support.solve_request ~path ~net options)))
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve a model on the daemon (same output as workbench solve).")
     Term.(
-      const run $ client_socket_arg $ client_tcp_arg $ model_pos_arg
-      $ net_flag_arg $ method_arg $ Cli_support.aggregate_arg $ Cli_support.fluid_arg)
+      const run $ client_socket_arg $ client_tcp_arg $ Cli_support.model_arg
+      $ Cli_support.net_arg $ Cli_support.solve_options_term)
 
 let client_query_cmd =
   let query_arg =
@@ -509,107 +452,38 @@ let client_query_cmd =
       & info [] ~docv:"QUERY" ~doc:"Measure expression, e.g. 'throughput(request)'.")
   in
   let run socket tcp path net query method_ aggregate =
-    let options = client_options method_ aggregate None false in
-    let request =
-      Service.Protocol.Query
-        { kind = kind_of path net; name = Filename.basename path; source = read_source path; query; options }
-    in
-    with_conn socket tcp (fun conn ->
-        let output, diagnostics, _ = ok_or_exit (Service.Client.request conn request) in
-        print_string output;
-        Printf.eprintf "%s%!" diagnostics)
+    let options = { Service.Protocol.default_options with method_; aggregate } in
+    Cli_support.handle_errors (fun () ->
+        Cli_support.print_reply
+          (remote socket tcp (Cli_support.query_request ~path ~net ~query options)))
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate a measure expression on the daemon.")
     Term.(
-      const run $ client_socket_arg $ client_tcp_arg $ model_pos_arg
-      $ net_flag_arg $ query_arg $ method_arg $ Cli_support.aggregate_arg)
+      const run $ client_socket_arg $ client_tcp_arg $ Cli_support.model_arg
+      $ Cli_support.net_arg $ query_arg $ Cli_support.method_arg $ Cli_support.aggregate_arg)
 
-(* Document verbs ship the raw file contents after validating them
-   locally (for path-labelled error bytes); [name] carries the
-   basename-derived model name the CLI gives text-notation documents. *)
-let read_document_source path =
-  ignore (read_document path);
-  (Filename.remove_extension (Filename.basename path), read_source path)
-
-let read_rates_source rates_path =
-  ignore (load_rates rates_path);
-  Option.map read_source rates_path
-
-let data_field field data =
-  match Obs.Json.member field data with
-  | Some (Obs.Json.Str s) -> s
-  | _ ->
-      Printf.eprintf "error: malformed daemon response (missing %s)\n" field;
-      exit 125
-
-let write_file_string path contents =
-  try Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
-  with Sys_error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    exit 1
+let client_document_cmd ~reflect_only info =
+  let run socket tcp input output rates options xmltable =
+    Cli_support.handle_errors (fun () ->
+        let request = Cli_support.document_request ~reflect_only ~input ~rates options in
+        Cli_support.print_pipeline_reply ~output ?xmltable (remote socket tcp request))
+  in
+  (* reflect writes the reflected document only. *)
+  let xmltable = if reflect_only then Term.const None else xmltable_arg in
+  Cmd.v info
+    Term.(
+      const run $ client_socket_arg $ client_tcp_arg $ input_arg $ reflected_arg $ rates_arg
+      $ document_options_term $ xmltable)
 
 let client_pipeline_cmd =
-  let output_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Reflected XMI output file.")
-  in
-  let xmltable_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "xmltable" ] ~docv:"FILE" ~doc:"Also write results as an .xmltable document.")
-  in
-  let run socket tcp input output rates_path method_ absorb aggregate fluid xmltable =
-    let name, document = read_document_source input in
-    let rates = read_rates_source rates_path in
-    let options = client_options method_ aggregate fluid absorb in
-    let request = Service.Protocol.Pipeline { name; document; rates; options } in
-    with_conn socket tcp (fun conn ->
-        let out, diagnostics, data = ok_or_exit (Service.Client.request conn request) in
-        Printf.eprintf "%s%!" diagnostics;
-        write_file_string output (data_field "reflected" data);
-        print_string out;
-        (match xmltable with
-        | Some path -> write_file_string path (data_field "xmltable" data)
-        | None -> ());
-        Printf.printf "reflected model written to %s\n" output)
-  in
-  Cmd.v
-    (Cmd.info "pipeline"
-       ~doc:"Run the full extract-analyse-reflect tool chain on the daemon.")
-    Term.(
-      const run $ client_socket_arg $ client_tcp_arg $ input_arg $ output_arg
-      $ rates_arg $ method_arg $ absorb_arg $ Cli_support.aggregate_arg
-      $ Cli_support.fluid_arg $ xmltable_arg)
+  client_document_cmd ~reflect_only:false
+    (Cmd.info "pipeline" ~doc:"Run the full extract-analyse-reflect tool chain on the daemon.")
 
 let client_reflect_cmd =
-  let output_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Reflected XMI output file.")
-  in
-  let run socket tcp input output rates_path method_ absorb aggregate fluid =
-    let name, document = read_document_source input in
-    let rates = read_rates_source rates_path in
-    let options = client_options method_ aggregate fluid absorb in
-    let request = Service.Protocol.Reflect { name; document; rates; options } in
-    with_conn socket tcp (fun conn ->
-        let _, diagnostics, data = ok_or_exit (Service.Client.request conn request) in
-        Printf.eprintf "%s%!" diagnostics;
-        write_file_string output (data_field "reflected" data);
-        Printf.printf "reflected model written to %s\n" output)
-  in
-  Cmd.v
+  client_document_cmd ~reflect_only:true
     (Cmd.info "reflect"
        ~doc:"Analyse a UML document on the daemon and write only the reflected XMI.")
-    Term.(
-      const run $ client_socket_arg $ client_tcp_arg $ input_arg $ output_arg
-      $ rates_arg $ method_arg $ absorb_arg $ Cli_support.aggregate_arg
-      $ Cli_support.fluid_arg)
 
 (* Sweep axes: NAME=V1,V2,... or NAME=LO:HI:N (N evenly spaced points,
    endpoints included). *)
@@ -694,32 +568,31 @@ let client_sweep_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the sweep JSON here (default: stdout).")
   in
-  let run socket tcp path net method_ aggregate fluid rates replicas backend cold out =
+  let run socket tcp path net options rates replicas backend cold out =
     let axes = rates @ replicas in
     if axes = [] then begin
       Printf.eprintf "error: sweep needs at least one --rate or --replicas axis\n";
       exit 2
     end;
-    let options = client_options method_ aggregate fluid false in
-    let request =
-      Service.Protocol.Sweep
-        {
-          kind = kind_of path net;
-          name = Filename.basename path;
-          source = read_source path;
-          options;
-          axes;
-          backend;
-          warm_start = not cold;
-        }
-    in
-    with_conn socket tcp (fun conn ->
-        let _, diagnostics, data = ok_or_exit (Service.Client.request conn request) in
+    Cli_support.handle_errors (fun () ->
+        let request =
+          Service.Protocol.Sweep
+            {
+              kind = Cli_support.kind_of path net;
+              name = Filename.basename path;
+              source = Cli_support.read_source path;
+              options;
+              axes;
+              backend;
+              warm_start = not cold;
+            }
+        in
+        let _, diagnostics, data = Cli_support.reply (remote socket tcp request) in
         Printf.eprintf "%s%!" diagnostics;
         let text = Obs.Json.to_string ~pretty:true data ^ "\n" in
         match out with
         | Some path ->
-            write_file_string path text;
+            Cli_support.write_file path text;
             Printf.printf "sweep results written to %s\n" path
         | None -> print_string text)
   in
@@ -728,15 +601,14 @@ let client_sweep_cmd =
        ~doc:"Solve a model over a parameter grid on the daemon, warm-starting \
              successive points.")
     Term.(
-      const run $ client_socket_arg $ client_tcp_arg $ model_pos_arg
-      $ net_flag_arg $ method_arg $ Cli_support.aggregate_arg $ Cli_support.fluid_arg
-      $ rate_axes_arg $ replica_axes_arg $ backend_arg $ cold_arg $ out_arg)
+      const run $ client_socket_arg $ client_tcp_arg $ Cli_support.model_arg
+      $ Cli_support.net_arg $ Cli_support.solve_options_term $ rate_axes_arg
+      $ replica_axes_arg $ backend_arg $ cold_arg $ out_arg)
 
 let client_stats_cmd =
   let run socket tcp =
-    with_conn socket tcp (fun conn ->
-        let _, _, data = ok_or_exit (Service.Client.request conn Service.Protocol.Stats) in
-        print_endline (Obs.Json.to_string ~pretty:true data))
+    let _, _, data = Cli_support.reply (remote socket tcp Service.Protocol.Stats) in
+    print_endline (Obs.Json.to_string ~pretty:true data)
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Print the daemon's uptime, request and cache statistics.")
@@ -744,9 +616,8 @@ let client_stats_cmd =
 
 let client_shutdown_cmd =
   let run socket tcp =
-    with_conn socket tcp (fun conn ->
-        let _ = ok_or_exit (Service.Client.request conn Service.Protocol.Shutdown) in
-        print_endline "daemon stopped")
+    ignore (Cli_support.reply (remote socket tcp Service.Protocol.Shutdown));
+    print_endline "daemon stopped"
   in
   Cmd.v
     (Cmd.info "shutdown" ~doc:"Stop the daemon cleanly.")

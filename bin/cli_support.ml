@@ -1,6 +1,7 @@
 (* Command-line plumbing shared by the Choreographer and Workbench
-   front ends: the steady-state method converter and the telemetry
-   flags (--log-level, --trace, --metrics). *)
+   front ends: the option converters, the telemetry flags (--log-level,
+   --trace, --metrics), the run ledger, the error contract, and one
+   front end per analysis verb. *)
 
 open Cmdliner
 
@@ -57,14 +58,12 @@ let fluid_arg =
            independent of replica and token counts.  The optional value sets the \
            integrator's relative (and absolute) local-error tolerances, default \
            $(b,1e-8,1e-12); a relative tolerance above $(b,1e-4) runs at $(b,1e-4), \
-           since looser control never settles on the fixed point.  Results are the \
-           deterministic population limit — asymptotically exact as populations grow, \
-           not an exact solve — and are labelled as approximations everywhere they \
-           are reported.  Models with passive cooperation, and nets with mixed \
-           transition priorities, have no fluid interpretation.")
-
-let print_fluid_stats (stats : Fluid.Rk45.stats) =
-  Printf.eprintf "%s%!" (Choreographer.Render.fluid_stats_line stats)
+           and an absolute tolerance above the steady-state threshold runs at that \
+           threshold, since looser control never settles on the fixed point.  Results \
+           are the deterministic population limit — asymptotically exact as \
+           populations grow, not an exact solve — and are labelled as approximations \
+           everywhere they are reported.  Models with passive cooperation, and nets \
+           with mixed transition priorities, have no fluid interpretation.")
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry flags                                                     *)
@@ -164,44 +163,35 @@ let sample_arg =
 (* Run ledger plumbing                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The ledger records one JSON line per run.  [setup] decides the
-   destination; subcommands that analyse a model call [arm_ledger] with
-   their identity, and the [at_exit] hook appends the record — so error
-   exits are recorded too, with the status the error reporters left in
-   [run_status]. *)
+(* The ledger records one JSON line per run.  [setup_telemetry] decides
+   the destination; subcommands that analyse a model call [arm_ledger]
+   with their identity before reading it, the engine's outcome supplies
+   the model hash and the status ([in_process]), and the [at_exit] hook
+   appends the record — so error exits are recorded too, with the
+   status the error reporters left in [run_status]. *)
 let ledger_path : string option ref = ref None
-let ledger_armed : (string * string * string * (string * string) list) option ref = ref None
+let ledger_armed : (string * string * (string * string) list) option ref = ref None
+let ledger_hash = ref ""
 let run_status = ref "ok"
 let set_run_status s = run_status := s
+let arm_ledger ~tool ~model ~options = ledger_armed := Some (tool, model, options)
 
-let model_hash path =
-  match Digest.to_hex (Digest.file path) with
-  | hash -> hash
-  | exception Sys_error _ -> ""
-
-(* Option stringifiers for ledger records — the same normalised forms
-   the daemon uses in cache keys and its own ledger records. *)
-let method_string = Service.Protocol.method_to_string
-let fluid_string = Service.Protocol.fluid_to_string
-
-let arm_ledger ~tool ~model ~options =
-  if !ledger_path <> None then begin
-    let hash = if model = "-" then "" else model_hash model in
-    ledger_armed := Some (tool, model, hash, options)
-  end
+(* Warn about a file the run writes at exit that cannot be written; the
+   run's own exit status stands. *)
+let warn_unwritable what path write =
+  let warn msg = Printf.eprintf "warning: could not %s %s: %s\n%!" what path msg in
+  try write () with
+  | Sys_error msg -> warn msg
+  | Unix.Unix_error (e, _, _) -> warn (Unix.error_message e)
 
 let append_ledger () =
   match (!ledger_path, !ledger_armed) with
-  | Some path, Some (tool, model, hash, options) -> (
+  | Some path, Some (tool, model, options) ->
       let record =
-        Obs.Ledger.capture ~tool ~model ~model_hash:hash ~options ~exit_status:!run_status ()
+        Obs.Ledger.capture ~tool ~model ~model_hash:!ledger_hash ~options
+          ~exit_status:!run_status ()
       in
-      let warn msg =
-        Printf.eprintf "warning: could not append to ledger %s: %s\n%!" path msg
-      in
-      try Obs.Ledger.append ~path record with
-      | Sys_error msg -> warn msg
-      | Unix.Unix_error (e, _, _) -> warn (Unix.error_message e))
+      warn_unwritable "append to ledger" path (fun () -> Obs.Ledger.append ~path record)
   | _ -> ()
 
 (* Where the daemon should append its per-request records: the
@@ -230,10 +220,15 @@ let setup_telemetry level trace metrics metrics_format ledger no_ledger sample =
   if Obs.Config.at_least Obs.Config.Info then Obs.Sink.install_stderr ();
   at_exit append_ledger;
   (match trace with
-  | Some path -> at_exit (fun () -> Obs.Sink.write_chrome_trace ~path)
+  | Some path ->
+      at_exit (fun () ->
+          warn_unwritable "write trace" path (fun () -> Obs.Sink.write_chrome_trace ~path))
   | None -> ());
   (match metrics with
-  | Some path -> at_exit (fun () -> Obs.Sink.write_metrics ~format:metrics_format ~path ())
+  | Some path ->
+      at_exit (fun () ->
+          warn_unwritable "write metrics" path (fun () ->
+              Obs.Sink.write_metrics ~format:metrics_format ~path ()))
   | None -> ());
   match sample with
   | Some interval_s ->
@@ -247,28 +242,31 @@ let telemetry_term =
     $ ledger_arg $ no_ledger_arg $ sample_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Solver diagnostics                                                  *)
+(* The error contract                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let print_solver_stats () =
-  match Markov.Steady.last_stats () with
-  | Some stats -> Printf.eprintf "%s%!" (Choreographer.Render.solver_stats_line stats)
-  | None -> ()
+let fail ~status ~code message =
+  Printf.eprintf "%s%!" message;
+  set_run_status status;
+  exit code
 
 (* Every failure [Service.Errors.of_exn] maps — model errors (exit 1),
    non-convergence and its fluid kin (exit 2, so scripted callers can
    retry with another method) — ends the run with the rendering the
    daemon ships over the wire: the same stderr bytes, ledger status and
-   exit code.  Any other exception escapes unchanged. *)
+   exit code.  A file that cannot be read or written is a model error
+   ([error: MSG], exit 1).  Any other exception escapes unchanged. *)
 let handle_errors f =
   try f ()
   with e -> (
     let backtrace = Printexc.get_raw_backtrace () in
-    match Service.Errors.of_exn e with
-    | Some r ->
-        Printf.eprintf "%s%!" r.Service.Errors.message;
-        set_run_status r.Service.Errors.status;
-        exit r.Service.Errors.code
+    let rendered =
+      match e with
+      | Sys_error msg -> Some (Service.Errors.model_error msg)
+      | e -> Service.Errors.of_exn e
+    in
+    match rendered with
+    | Some { Service.Errors.code; message; status } -> fail ~status ~code message
     | None -> Printexc.raise_with_backtrace e backtrace)
 
 (* Invalid option values (unknown --method, --aggregate, --fluid forms,
@@ -280,3 +278,111 @@ let eval_cli ?argv cmd =
   | Ok (`Ok ()) | Ok `Version | Ok `Help -> 0
   | Error (`Parse | `Term) -> 2
   | Error `Exn -> 125
+
+(* ------------------------------------------------------------------ *)
+(* Analysis verbs                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Each analysis verb turns its arguments into one
+   [Service.Protocol.request] and the response into stdout, stderr,
+   written files and the exit code.  pepa-workbench solve|query and
+   choreographer pipeline answer the request with an engine created in
+   this process ([in_process]); choreographer client sends it to a
+   daemon.  The transport is the only difference, so both print the
+   same bytes, and nothing is parsed before the engine parses it. *)
+
+let is_net_file path explicit_net = explicit_net || Filename.check_suffix path ".pepanet"
+
+let model_arg =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"MODEL" ~doc:"A .pepa or .pepanet file.")
+
+let net_arg =
+  Arg.(value & flag & info [ "net" ] ~doc:"Force PEPA net interpretation regardless of suffix.")
+
+let solve_options_term =
+  let make method_ aggregate fluid =
+    { Service.Protocol.default_options with method_; aggregate; fluid }
+  in
+  Term.(const make $ method_arg $ aggregate_arg $ fluid_arg)
+
+let read_source path = In_channel.with_open_bin path In_channel.input_all
+
+(* A document or rates file that cannot be read is reported as one that
+   does not parse: the bare message, exit 1. *)
+let read_input path =
+  try read_source path with Sys_error msg -> fail ~status:("error: " ^ msg) ~code:1 (msg ^ "\n")
+
+let kind_of path net = if is_net_file path net then Service.Protocol.Net else Service.Protocol.Pepa
+
+let solve_request ~path ~net options =
+  Service.Protocol.Solve
+    { kind = kind_of path net; name = Filename.basename path; source = read_source path; options }
+
+let query_request ~path ~net ~query options =
+  Service.Protocol.Query
+    {
+      kind = kind_of path net;
+      name = Filename.basename path;
+      source = read_source path;
+      query;
+      options;
+    }
+
+(* The document is named by its path as the user gave it, which labels
+   its errors and names a text document's model; the rates file, read
+   first, by its own path. *)
+let document_request ~reflect_only ~input ~rates options =
+  let rates_source = Option.map read_input rates in
+  let document = read_input input in
+  if reflect_only then
+    Service.Protocol.Reflect
+      { name = input; document; rates = rates_source; rates_name = rates; options }
+  else
+    Service.Protocol.Pipeline
+      { name = input; document; rates = rates_source; rates_name = rates; options }
+
+(* Answer a request with an engine created for this run; the ledger
+   takes the model hash and the status from its outcome. *)
+let in_process request =
+  let outcome = Service.Engine.handle (Service.Engine.create ()) request in
+  ledger_hash := outcome.Service.Engine.model_hash;
+  set_run_status outcome.Service.Engine.status;
+  outcome
+
+(* An error response carries the stderr bytes and exit code the
+   analysis ended with. *)
+let reply = function
+  | Service.Protocol.Ok_response { output; diagnostics; data } -> (output, diagnostics, data)
+  | Service.Protocol.Error_response { code; message } ->
+      Printf.eprintf "%s%!" message;
+      exit code
+
+(* solve and query *)
+let print_reply response =
+  let output, diagnostics, _ = reply response in
+  print_string output;
+  Printf.eprintf "%s%!" diagnostics
+
+let data_field field data =
+  match Obs.Json.member field data with
+  | Some (Obs.Json.Str s) -> s
+  | _ ->
+      Printf.eprintf "error: malformed daemon response (missing %s)\n" field;
+      exit 125
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
+
+(* pipeline and reflect: a reflect response has no tables, and only a
+   pipeline answered in process has the [outcome] an HTML report
+   needs. *)
+let print_pipeline_reply ~output ?xmltable ?html ?outcome response =
+  let tables, diagnostics, data = reply response in
+  Printf.eprintf "%s%!" diagnostics;
+  write_file output (data_field "reflected" data);
+  print_string tables;
+  Option.iter (fun path -> write_file path (data_field "xmltable" data)) xmltable;
+  (match (html, outcome) with
+  | Some path, Some outcome -> Choreographer.Html_report.write ~path outcome
+  | _ -> ());
+  Printf.printf "reflected model written to %s\n" output

@@ -4,15 +4,9 @@
 
 open Cmdliner
 
-let is_net_file path explicit_net = explicit_net || Filename.check_suffix path ".pepanet"
-
-let file_arg =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"MODEL" ~doc:"A .pepa or .pepanet file.")
-
-let net_arg =
-  Arg.(value & flag & info [ "net" ] ~doc:"Force PEPA net interpretation regardless of suffix.")
-
-let method_arg = Cli_support.method_arg
+let is_net_file = Cli_support.is_net_file
+let file_arg = Cli_support.model_arg
+let net_arg = Cli_support.net_arg
 
 (* Every subcommand loads its model through the wrapped Workbench
    stages, so a malformed model is reported as [error: NAME: ...] with
@@ -34,54 +28,24 @@ let load_net ?(symmetry = false) path =
   let compiled = W.compile_net ~name net in
   (W.net_space ~name ~symmetry compiled, Pepanet.Net_compile.warnings compiled)
 
+(* solve and query answer their request with an engine created in
+   this process: the daemon's path, so a daemon reply is byte-identical
+   to a one-shot run by construction. *)
 let solve_cmd =
-  let run () path net method_ aggregate fluid =
+  let run () path net options =
     Cli_support.handle_errors (fun () ->
         Cli_support.arm_ledger ~tool:"workbench solve" ~model:path
           ~options:
-            [
-              ("method", Cli_support.method_string method_);
-              ("aggregate", Markov.Lump.mode_to_string aggregate);
-              ("fluid", Cli_support.fluid_string fluid);
-              ("net", string_of_bool (is_net_file path net));
-            ];
-        (* All solve output goes through [Choreographer.Render], the
-           rendering the daemon also ships — the service tests cmp the
-           two byte for byte. *)
-        if is_net_file path net then begin
-          match fluid with
-          | Some tolerances ->
-              let analysis =
-                Choreographer.Workbench.analyse_net_fluid_file ~tolerances path
-              in
-              print_string (Choreographer.Render.net_fluid_solve analysis);
-              Cli_support.print_fluid_stats
-                analysis.Choreographer.Workbench.net_fluid_stats
-          | None ->
-              let analysis =
-                Choreographer.Workbench.analyse_net_file ?method_ ~aggregate path
-              in
-              print_string (Choreographer.Render.net_solve analysis);
-              Cli_support.print_solver_stats ()
-        end
-        else
-          match fluid with
-          | Some tolerances ->
-              let analysis = Choreographer.Workbench.analyse_pepa_fluid_file ~tolerances path in
-              print_string (Choreographer.Render.pepa_fluid_solve analysis);
-              Cli_support.print_fluid_stats analysis.Choreographer.Workbench.fluid_stats
-          | None ->
-              let analysis =
-                Choreographer.Workbench.analyse_pepa_file ?method_ ~aggregate path
-              in
-              print_string (Choreographer.Render.pepa_solve analysis);
-              Cli_support.print_solver_stats ())
+            (Service.Engine.option_pairs options
+               [ ("net", string_of_bool (is_net_file path net)) ]);
+        let request = Cli_support.solve_request ~path ~net options in
+        Cli_support.print_reply (Cli_support.in_process request).Service.Engine.response)
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Steady-state solution and throughput of every action type.")
     Term.(
-      const run $ Cli_support.telemetry_term $ file_arg $ net_arg $ method_arg
-      $ Cli_support.aggregate_arg $ Cli_support.fluid_arg)
+      const run $ Cli_support.telemetry_term $ file_arg $ net_arg
+      $ Cli_support.solve_options_term)
 
 let statespace_cmd =
   let limit_arg =
@@ -292,15 +256,12 @@ let query_cmd =
             "Measure expression, e.g. 'throughput(request)' or \
              'passage(request -> response).mean'.")
   in
-  let run () path net query_text =
+  let run () path net query =
     Cli_support.handle_errors (fun () ->
-        let context =
-          if is_net_file path net then
-            Choreographer.Query.context_of_net (Choreographer.Workbench.analyse_net_file path)
-          else
-            Choreographer.Query.context_of_pepa (Choreographer.Workbench.analyse_pepa_file path)
+        let request =
+          Cli_support.query_request ~path ~net ~query Service.Protocol.default_options
         in
-        Printf.printf "%.10g\n" (Choreographer.Query.eval_string context query_text))
+        Cli_support.print_reply (Cli_support.in_process request).Service.Engine.response)
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate a measure expression against a solved model.")

@@ -70,7 +70,8 @@ let part_2_pepa_net () =
 let part_3_workbench () =
   print_string (Choreographer.Report.section "Part 3: the Workbench API");
   let analysis =
-    Choreographer.Workbench.analyse_pepa_string ~name:"quickstart"
+    Choreographer.Workbench.analyse_pepa ~name:"quickstart"
+    @@ Choreographer.Workbench.parse_pepa ~name:"quickstart"
       {|
         think = 1.0;
         use = 5.0;

@@ -10,13 +10,15 @@ val document_of_string : name:string -> string -> (Xml_kit.Minixml.t, string) re
 (** Sniff a UML document source: content starting with ['<'] parses as
     XMI, anything else as the plain-text notation of
     {!Uml.Diagram_text} (converted to XMI at the door so the rest of
-    the pipeline is uniform).  [name] labels parse errors and names
-    the model of a text document. *)
+    the pipeline is uniform).  [name] is the document's path as the
+    user gave it: it labels parse errors, and a text document's model
+    is named after its basename without extension (a bare name without
+    an extension names the model as it is). *)
 
 val document_of_file : string -> (Xml_kit.Minixml.t, string) result
-(** {!document_of_string} on a file's contents, sniffing on the first
-    byte; the model name of a text document is the file's basename
-    without extension.  A missing or unreadable file is an [Error]. *)
+(** {!document_of_string} on a file's contents, named by [path].  A
+    missing or unreadable file is an [Error] carrying the system's
+    message. *)
 
 val rates_of_string : name:string -> string -> (Uml.Rates_file.t, string) result
 (** Parse [activity = rate] lines; [name] labels syntax errors. *)

@@ -154,10 +154,6 @@ let analyse_pepa ?(name = "model") ?method_ ?max_states ?(aggregate = Markov.Lum
       let results = pepa_results ~name ~warnings space distribution in
       { space; distribution; results })
 
-let analyse_pepa_string ?(name = "model") ?method_ ?max_states ?aggregate src =
-  let model = parse_pepa ~name src in
-  analyse_pepa ~name ?method_ ?max_states ?aggregate model
-
 let analyse_pepa_file ?method_ ?max_states ?aggregate path =
   let name = Filename.basename path in
   let model = wrap name (fun () -> Pepa.Parser.model_of_file path) in
@@ -172,15 +168,6 @@ let analyse_pepa_fluid ?(name = "model") ?tolerances model =
       let fluid_results = pepa_fluid_results ~name ~warnings form populations in
       { form; populations; fluid_stats; fluid_results })
 
-let analyse_pepa_fluid_string ?(name = "model") ?tolerances src =
-  let model = parse_pepa ~name src in
-  analyse_pepa_fluid ~name ?tolerances model
-
-let analyse_pepa_fluid_file ?tolerances path =
-  let name = Filename.basename path in
-  let model = wrap name (fun () -> Pepa.Parser.model_of_file path) in
-  analyse_pepa_fluid ~name ?tolerances model
-
 let analyse_net_fluid ?(name = "net") ?tolerances net =
   Obs.Span.with_ ~attrs:[ ("net", Obs.Span.Str name) ] "workbench.analyse_net_fluid"
     (fun _ ->
@@ -194,17 +181,7 @@ let analyse_net_fluid ?(name = "net") ?tolerances net =
       in
       { net_form; net_populations; net_fluid_stats; net_fluid_results })
 
-let analyse_net_fluid_string ?(name = "net") ?tolerances src =
-  let net = parse_net ~name src in
-  analyse_net_fluid ~name ?tolerances net
-
-let analyse_net_fluid_file ?tolerances path =
-  let name = Filename.basename path in
-  let net = wrap name (fun () -> Pepanet.Net_parser.net_of_file path) in
-  analyse_net_fluid ~name ?tolerances net
-
 let analyse_net ?(name = "net") ?method_ ?max_markings ?(aggregate = Markov.Lump.No_agg) net =
-
   Obs.Span.with_ ~attrs:[ ("net", Obs.Span.Str name) ] "workbench.analyse_net"
     (fun _ ->
       let compiled = compile_net ~name net in
@@ -221,15 +198,6 @@ let analyse_net ?(name = "net") ?method_ ?max_markings ?(aggregate = Markov.Lump
           net_space net_distribution
       in
       { net_space; net_distribution; net_results })
-
-let analyse_net_string ?(name = "net") ?method_ ?max_markings ?aggregate src =
-  let net = parse_net ~name src in
-  analyse_net ~name ?method_ ?max_markings ?aggregate net
-
-let analyse_net_file ?method_ ?max_markings ?aggregate path =
-  let name = Filename.basename path in
-  let net = wrap name (fun () -> Pepanet.Net_parser.net_of_file path) in
-  analyse_net ~name ?method_ ?max_markings ?aggregate net
 
 let fluid_local_probabilities analysis ~leaf =
   Fluid.Vector_form.leaf_proportions analysis.form analysis.populations ~leaf

@@ -65,20 +65,15 @@ val analyse_pepa :
 
     Every stage runs on the calling domain. *)
 
-val analyse_pepa_string :
-  ?name:string ->
-  ?method_:Markov.Steady.method_ ->
-  ?max_states:int ->
-  ?aggregate:Markov.Lump.mode ->
-  string ->
-  pepa_analysis
-
 val analyse_pepa_file :
   ?method_:Markov.Steady.method_ ->
   ?max_states:int ->
   ?aggregate:Markov.Lump.mode ->
   string ->
   pepa_analysis
+(** {!analyse_pepa} on a file's model, named by its basename.  The
+    command-line front ends answer through [Service.Engine] instead;
+    this entry point stays for [perfbench/]. *)
 
 val analyse_pepa_fluid :
   ?name:string ->
@@ -96,12 +91,6 @@ val analyse_pepa_fluid :
     on models with no fluid interpretation (passive rates) and lets
     {!Fluid.Rk45.Did_not_reach_steady} escape. *)
 
-val analyse_pepa_fluid_string :
-  ?name:string -> ?tolerances:Fluid.Rk45.tolerances -> string -> fluid_analysis
-
-val analyse_pepa_fluid_file :
-  ?tolerances:Fluid.Rk45.tolerances -> string -> fluid_analysis
-
 val analyse_net_fluid :
   ?name:string ->
   ?tolerances:Fluid.Rk45.tolerances ->
@@ -118,12 +107,6 @@ val analyse_net_fluid :
     {!Fluid.Rk45.Did_not_reach_steady} and
     {!Fluid.Rk45.Step_budget_exhausted} escape. *)
 
-val analyse_net_fluid_string :
-  ?name:string -> ?tolerances:Fluid.Rk45.tolerances -> string -> net_fluid_analysis
-
-val analyse_net_fluid_file :
-  ?tolerances:Fluid.Rk45.tolerances -> string -> net_fluid_analysis
-
 val analyse_net :
   ?name:string ->
   ?method_:Markov.Steady.method_ ->
@@ -134,21 +117,6 @@ val analyse_net :
 (** [aggregate] as in {!analyse_pepa}; the symmetry pass permutes
     interchangeable cell contents, so token- and place-level measures
     are exact. *)
-
-val analyse_net_string :
-  ?name:string ->
-  ?method_:Markov.Steady.method_ ->
-  ?max_markings:int ->
-  ?aggregate:Markov.Lump.mode ->
-  string ->
-  net_analysis
-
-val analyse_net_file :
-  ?method_:Markov.Steady.method_ ->
-  ?max_markings:int ->
-  ?aggregate:Markov.Lump.mode ->
-  string ->
-  net_analysis
 
 (** {1 Staged analysis}
 

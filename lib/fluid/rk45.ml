@@ -79,7 +79,7 @@ let integrate ?(tolerances = default_tolerances) ?steady_tol ?(t_max = 1e6)
     ?(max_steps = 2_000_000) ~f ~x0 () =
   if not (tolerances.rtol > 0.0 && tolerances.atol > 0.0) then
     invalid_arg "Rk45.integrate: tolerances must be positive";
-  let tolerances = { tolerances with rtol = Float.min tolerances.rtol loosest_rtol } in
+  let rtol = Float.min tolerances.rtol loosest_rtol in
   (* Error control can only track the trajectory down to a deviation of
      about [rtol * ||x||], so the derivative norm plateaus near that
      floor; a steady threshold three decades above it fires reliably
@@ -87,9 +87,13 @@ let integrate ?(tolerances = default_tolerances) ?steady_tol ?(t_max = 1e6)
   let steady_tol =
     match steady_tol with
     | Some s -> s
-    | None -> Float.min (1e3 *. tolerances.rtol) loosest_steady_tol
+    | None -> Float.min (1e3 *. rtol) loosest_steady_tol
   in
   if not (steady_tol > 0.0) then invalid_arg "Rk45.integrate: steady_tol must be positive";
+  (* An absolute tolerance above the steady threshold lets the
+     trajectory wander around the fixed point by more than the steady
+     test accepts, exactly as a loose rtol does. *)
+  let tolerances = { rtol; atol = Float.min tolerances.atol steady_tol } in
   Obs.Span.with_
     ~attrs:
       [ ("rtol", Obs.Span.Float tolerances.rtol); ("atol", Obs.Span.Float tolerances.atol) ]

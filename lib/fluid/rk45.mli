@@ -59,9 +59,11 @@ val integrate :
     about [rtol * ||x||], so the derivative norm plateaus near that
     floor and a fixed threshold below it would never fire, while a
     threshold above [1e-3] could accept the initial state itself.  An
-    [rtol] above [1e-4] runs at [1e-4]: looser control lets the
-    trajectory oscillate around the fixed point instead of settling.  [f] writes the
-    derivative into the array it is handed (no allocation per call).
+    [rtol] above [1e-4] runs at [1e-4], and an [atol] above
+    [steady_tol] runs at [steady_tol]: looser control lets the
+    trajectory oscillate around the fixed point instead of settling.
+    [f] writes the derivative into the array it is handed (no
+    allocation per call).
     Small negative entries introduced by local truncation error are
     clamped to zero after each accepted step, keeping population
     vectors physical.

@@ -224,12 +224,19 @@ let expect st token what =
 
 (* The sub-parsers recurse once per open parenthesis, so nesting is
    capped (at the depth [Obs.Json] allows) to keep a hostile model from
-   overflowing the stack.  Prefix chains parse in a loop, but every
-   later pass over the term recurses once per prefix, and a chain's
-   local-state labels grow with the square of its length, so the
-   prefixes enclosing any point of a term are capped at the same
-   depth. *)
+   overflowing the stack.  Prefix chains, choices and cooperation
+   chains parse in a loop, but every later pass over the term recurses
+   once per prefix, alternative or member (and a chain's local-state
+   labels grow with the square of its length), so the prefixes
+   enclosing any point of a term, the alternatives of one choice and
+   the members of one cooperation chain are capped at the same
+   number. *)
 let max_depth = 512
+
+(* [n] operands already read, the cursor on the operator that would
+   add one more. *)
+let check_chain st n what =
+  if n >= max_depth then error st (Printf.sprintf "more than %d %s" max_depth what)
 
 (* [( f )] with the cursor on the opening parenthesis. *)
 let parenthesised st f =
@@ -349,22 +356,26 @@ let at_prefix st =
 
 (* Cooperation (weakest) > choice > postfix (hiding, replication) > atom. *)
 let rec parse_expr st =
-  let left = ref (parse_choice st) in
+  let left = ref (parse_choice st) and members = ref 1 in
   while peek_token st = Langle do
+    check_chain st !members "members in one cooperation";
     advance st;
     let set = parse_action_set st in
     expect st Rangle "'>'";
     let right = parse_choice st in
-    left := Coop (!left, set, right)
+    left := Coop (!left, set, right);
+    incr members
   done;
   !left
 
 and parse_choice st =
-  let left = ref (parse_postfix st) in
+  let left = ref (parse_postfix st) and alternatives = ref 1 in
   while peek_token st = Plus do
+    check_chain st !alternatives "alternatives in one choice";
     advance st;
     let right = parse_postfix st in
-    left := Choice (!left, right)
+    left := Choice (!left, right);
+    incr alternatives
   done;
   !left
 

@@ -28,7 +28,10 @@
     ["(a, r).(a, r)...P"] parses in a loop, but every later pass
     recurses once per prefix and the chain's local-state labels grow
     with the square of its length, so a longer chain raises
-    {!Parse_error} at its 513th prefix. *)
+    {!Parse_error} at its 513th prefix.  For the same reason one choice
+    may have at most 512 alternatives and one cooperation chain at most
+    512 members; the operator that would add the 513th raises
+    {!Parse_error}. *)
 
 exception Parse_error of { line : int; col : int; message : string }
 

@@ -1,11 +1,11 @@
 (** Client side of the daemon protocol: connect, exchange framed JSON
     requests, close.
 
-    The heavy lifting — reading model files, sniffing XML vs. textual
-    notation, reproducing the one-shot CLI's stdout/stderr/exit-code
-    contract — is the {e caller's} job (the [choreographer client]
-    verb does it with {!Choreographer.Ingest} and {!Errors}); this
-    module only moves frames. *)
+    Reading the files into a request and replaying the response as the
+    one-shot CLI would (stdout, stderr, exit code) is the {e caller's}
+    job — the [choreographer client] verbs share those front ends with
+    the one-shot commands, which answer the same request in process;
+    the daemon does all parsing.  This module only moves frames. *)
 
 type conn
 

@@ -45,6 +45,7 @@ type outcome = {
   option_pairs : (string * string) list;
   stages : (string * float) list;
   status : string;
+  pipeline : Choreographer.Pipeline.outcome option;
 }
 
 exception Ingest_failure of string
@@ -225,27 +226,25 @@ let net_fluid_analysis entry stages ~name ~source ~tolerances =
       in
       { W.net_form = form; net_populations; net_fluid_stats; net_fluid_results })
 
-let document entry stages ~name ~source =
-  memo entry stages ~stage:"ingest" ~key:"document"
-    ~project:(function A_document d -> Some d | _ -> None)
-    ~inject:(fun d -> A_document d)
-    (fun () ->
-      match Choreographer.Ingest.document_of_string ~name source with
-      | Ok doc -> doc
-      | Error msg -> raise (Ingest_failure msg))
+let ingested = function Ok v -> v | Error msg -> raise (Ingest_failure msg)
 
-let pipeline_outcome entry stages ~name ~source ~rates ~(options : Protocol.options) =
-  let doc = document entry stages ~name ~source in
-  let rates_book =
+(* The rates file is read before the document, as the one-shot CLI
+   always has, so a request with both malformed reports the rates. *)
+let pipeline_outcome entry stages ~name ~source ~rates ~rates_name
+    ~(options : Protocol.options) =
+  let rates_book, rates_hash =
     match rates with
-    | None -> Uml.Rates_file.empty
-    | Some src -> (
-        match Choreographer.Ingest.rates_of_string ~name:"rates" src with
-        | Ok book -> book
-        | Error msg -> raise (Ingest_failure msg))
+    | None -> (Uml.Rates_file.empty, "-")
+    | Some src ->
+        let name = Option.value rates_name ~default:"rates" in
+        ( ingested (Choreographer.Ingest.rates_of_string ~name src),
+          Digest.to_hex (Digest.string src) )
   in
-  let rates_hash =
-    match rates with None -> "-" | Some src -> Digest.to_hex (Digest.string src)
+  let doc =
+    memo entry stages ~stage:"ingest" ~key:"document"
+      ~project:(function A_document d -> Some d | _ -> None)
+      ~inject:(fun d -> A_document d)
+      (fun () -> ingested (Choreographer.Ingest.document_of_string ~name source))
   in
   memo entry stages ~stage:"pipeline"
     ~key:
@@ -276,7 +275,7 @@ let pipeline_outcome entry stages ~name ~source ~rates ~(options : Protocol.opti
 (* Verbs                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let option_pairs_of ~(options : Protocol.options) extra =
+let option_pairs (options : Protocol.options) extra =
   [
     ("method", Protocol.method_to_string options.Protocol.method_);
     ("aggregate", Markov.Lump.mode_to_string options.Protocol.aggregate);
@@ -284,7 +283,6 @@ let option_pairs_of ~(options : Protocol.options) extra =
   ]
   @ extra
 
-let entry_key kind source = Protocol.kind_to_string kind ^ ":" ^ Digest.string source
 let fresh_entry () = { lock = Mutex.create (); memo = [] }
 
 let stats_json t =
@@ -308,146 +306,120 @@ let stats_json t =
 let ok ?(output = "") ?(diagnostics = "") ?(data = Obs.Json.Null) () =
   Protocol.Ok_response { output; diagnostics; data }
 
+let solve_response entry stages ~kind ~name ~source ~(options : Protocol.options) =
+  match (kind, options.Protocol.fluid) with
+  | Protocol.Pepa, None ->
+      let analysis, diagnostics = pepa_analysis entry stages ~name ~source ~options in
+      ok ~output:(Render.pepa_solve analysis) ~diagnostics ()
+  | Protocol.Pepa, Some tolerances ->
+      let analysis = pepa_fluid_analysis entry stages ~name ~source ~tolerances in
+      ok
+        ~output:(Render.pepa_fluid_solve analysis)
+        ~diagnostics:(Render.fluid_stats_line analysis.W.fluid_stats)
+        ()
+  | Protocol.Net, None ->
+      let analysis, diagnostics = net_analysis entry stages ~name ~source ~options in
+      ok ~output:(Render.net_solve analysis) ~diagnostics ()
+  | Protocol.Net, Some tolerances ->
+      let analysis = net_fluid_analysis entry stages ~name ~source ~tolerances in
+      ok
+        ~output:(Render.net_fluid_solve analysis)
+        ~diagnostics:(Render.fluid_stats_line analysis.W.net_fluid_stats)
+        ()
+
+(* Queries evaluate against the exact solve, as the CLI does; a fluid
+   option on a query request is ignored. *)
+let query_response entry stages ~kind ~name ~source ~query ~(options : Protocol.options) =
+  let options = { options with Protocol.fluid = None } in
+  let context =
+    match kind with
+    | Protocol.Pepa ->
+        Choreographer.Query.context_of_pepa
+          (fst (pepa_analysis entry stages ~name ~source ~options))
+    | Protocol.Net ->
+        Choreographer.Query.context_of_net (fst (net_analysis entry stages ~name ~source ~options))
+  in
+  let value = timed stages "query" (fun () -> Choreographer.Query.eval_string context query) in
+  ok ~output:(Printf.sprintf "%.10g\n" value) ()
+
 let handle t request =
   with_lock t.count_lock (fun () -> t.request_count <- t.request_count + 1);
   Obs.Metrics.incr requests;
   let stages = ref [] in
-  let tool, model_name, model_hash, option_pairs, work =
+  let pipeline = ref None in
+  (* Each model-bearing request hashes its source once: the digest goes
+     to the ledger and, with the entry's tag and the request's name
+     (which the rendered output prints), keys its cache entry. *)
+  let model ~tag ~name source =
+    let digest = Digest.string source in
+    let locked work () =
+      let entry, _ =
+        Cache.find_or_create t.cache ~key:(String.concat ":" [ tag; name; digest ]) fresh_entry
+      in
+      with_lock entry.lock (fun () -> work entry)
+    in
+    (Digest.to_hex digest, locked)
+  in
+  let tool, model_name, model_hash, pairs, work =
     match request with
     | Protocol.Stats ->
         ("choreographerd stats", "-", "", [], fun () -> ok ~data:(stats_json t) ())
     | Protocol.Shutdown -> ("choreographerd shutdown", "-", "", [], fun () -> ok ())
     | Protocol.Solve { kind; name; source; options } ->
-        let hash = Digest.to_hex (Digest.string source) in
-        let pairs =
-          option_pairs_of ~options [ ("kind", Protocol.kind_to_string kind) ]
-        in
-        let work () =
-          let entry, _ = Cache.find_or_create t.cache ~key:(entry_key kind source) fresh_entry in
-          with_lock entry.lock (fun () ->
-              match (kind, options.Protocol.fluid) with
-              | Protocol.Pepa, None ->
-                  let analysis, diagnostics =
-                    pepa_analysis entry stages ~name ~source ~options
-                  in
-                  ok ~output:(Render.pepa_solve analysis) ~diagnostics ()
-              | Protocol.Pepa, Some tolerances ->
-                  let analysis =
-                    pepa_fluid_analysis entry stages ~name ~source ~tolerances
-                  in
-                  ok
-                    ~output:(Render.pepa_fluid_solve analysis)
-                    ~diagnostics:(Render.fluid_stats_line analysis.W.fluid_stats)
-                    ()
-              | Protocol.Net, None ->
-                  let analysis, diagnostics =
-                    net_analysis entry stages ~name ~source ~options
-                  in
-                  ok ~output:(Render.net_solve analysis) ~diagnostics ()
-              | Protocol.Net, Some tolerances ->
-                  let analysis = net_fluid_analysis entry stages ~name ~source ~tolerances in
-                  ok
-                    ~output:(Render.net_fluid_solve analysis)
-                    ~diagnostics:(Render.fluid_stats_line analysis.W.net_fluid_stats)
-                    ())
-        in
-        ("choreographerd solve", name, hash, pairs, work)
+        let hash, locked = model ~tag:(Protocol.kind_to_string kind) ~name source in
+        ( "choreographerd solve",
+          name,
+          hash,
+          option_pairs options [ ("kind", Protocol.kind_to_string kind) ],
+          locked (fun entry -> solve_response entry stages ~kind ~name ~source ~options) )
     | Protocol.Query { kind; name; source; query; options } ->
-        let hash = Digest.to_hex (Digest.string source) in
-        let pairs =
-          option_pairs_of ~options
-            [ ("kind", Protocol.kind_to_string kind); ("query", query) ]
-        in
-        let work () =
-          let entry, _ = Cache.find_or_create t.cache ~key:(entry_key kind source) fresh_entry in
-          with_lock entry.lock (fun () ->
-              (* Queries evaluate against the exact solve, as the CLI
-                 does; a fluid option on a query request is ignored. *)
-              let options = { options with Protocol.fluid = None } in
-              let context =
-                match kind with
-                | Protocol.Pepa ->
-                    let analysis, _ = pepa_analysis entry stages ~name ~source ~options in
-                    Choreographer.Query.context_of_pepa analysis
-                | Protocol.Net ->
-                    let analysis, _ = net_analysis entry stages ~name ~source ~options in
-                    Choreographer.Query.context_of_net analysis
-              in
-              let value =
-                timed stages "query" (fun () ->
-                    Choreographer.Query.eval_string context query)
-              in
-              ok ~output:(Printf.sprintf "%.10g\n" value) ())
-        in
-        ("choreographerd query", name, hash, pairs, work)
-    | Protocol.Pipeline { name; document = source; rates; options } ->
-        let hash = Digest.to_hex (Digest.string source) in
-        let pairs =
-          option_pairs_of ~options
-            [ ("absorb", string_of_bool (options.Protocol.restart = `Absorb)) ]
-        in
-        let work () =
-          let entry, _ =
-            Cache.find_or_create t.cache ~key:("doc:" ^ Digest.string source) fresh_entry
+        let hash, locked = model ~tag:(Protocol.kind_to_string kind) ~name source in
+        ( "choreographerd query",
+          name,
+          hash,
+          option_pairs options
+            [ ("kind", Protocol.kind_to_string kind); ("query", query) ],
+          locked (fun entry -> query_response entry stages ~kind ~name ~source ~query ~options)
+        )
+    | Protocol.Pipeline { name; document = source; rates; rates_name; options }
+    | Protocol.Reflect { name; document = source; rates; rates_name; options } ->
+        let tables = match request with Protocol.Pipeline _ -> true | _ -> false in
+        let hash, locked = model ~tag:"doc" ~name source in
+        let work entry =
+          let outcome, diagnostics =
+            pipeline_outcome entry stages ~name ~source ~rates ~rates_name ~options
           in
-          with_lock entry.lock (fun () ->
-              let outcome, diagnostics =
-                pipeline_outcome entry stages ~name ~source ~rates ~options
-              in
-              let tables =
-                String.concat ""
-                  (List.map Render.results outcome.Choreographer.Pipeline.results)
-              in
-              let xmltable =
-                Xml_kit.Minixml.Element
-                  ( "resultsets",
-                    [],
-                    List.map Choreographer.Results.to_xmltable
-                      outcome.Choreographer.Pipeline.results )
-              in
-              ok ~output:tables ~diagnostics
-                ~data:
-                  (Obs.Json.Obj
-                     [
-                       ( "reflected",
-                         Obs.Json.Str
-                           (Xml_kit.Minixml.to_string outcome.Choreographer.Pipeline.reflected)
-                       );
-                       ("xmltable", Obs.Json.Str (Xml_kit.Minixml.to_string xmltable));
-                     ])
-                ())
-        in
-        ("choreographerd pipeline", name, hash, pairs, work)
-    | Protocol.Reflect { name; document = source; rates; options } ->
-        let hash = Digest.to_hex (Digest.string source) in
-        let pairs =
-          option_pairs_of ~options
-            [ ("absorb", string_of_bool (options.Protocol.restart = `Absorb)) ]
-        in
-        let work () =
-          let entry, _ =
-            Cache.find_or_create t.cache ~key:("doc:" ^ Digest.string source) fresh_entry
+          pipeline := Some outcome;
+          let results = outcome.Choreographer.Pipeline.results in
+          let reflected =
+            ( "reflected",
+              Obs.Json.Str (Xml_kit.Minixml.to_string outcome.Choreographer.Pipeline.reflected)
+            )
           in
-          with_lock entry.lock (fun () ->
-              let outcome, diagnostics =
-                pipeline_outcome entry stages ~name ~source ~rates ~options
-              in
-              ok ~diagnostics
-                ~data:
-                  (Obs.Json.Obj
-                     [
-                       ( "reflected",
-                         Obs.Json.Str
-                           (Xml_kit.Minixml.to_string outcome.Choreographer.Pipeline.reflected)
-                       );
-                     ])
-                ())
+          if tables then
+            let xmltable =
+              Xml_kit.Minixml.Element
+                ("resultsets", [], List.map Choreographer.Results.to_xmltable results)
+            in
+            ok
+              ~output:(String.concat "" (List.map Render.results results))
+              ~diagnostics
+              ~data:
+                (Obs.Json.Obj
+                   [ reflected; ("xmltable", Obs.Json.Str (Xml_kit.Minixml.to_string xmltable)) ])
+              ()
+          else ok ~diagnostics ~data:(Obs.Json.Obj [ reflected ]) ()
         in
-        ("choreographerd reflect", name, hash, pairs, work)
+        ( (if tables then "choreographerd pipeline" else "choreographerd reflect"),
+          name,
+          hash,
+          option_pairs options
+            [ ("absorb", string_of_bool (options.Protocol.restart = `Absorb)) ],
+          locked work )
     | Protocol.Sweep { kind; name; source; options; axes; backend; warm_start } ->
-        let hash = Digest.to_hex (Digest.string source) in
+        let hash, locked = model ~tag:(Protocol.kind_to_string kind) ~name source in
         let pairs =
-          option_pairs_of ~options
+          option_pairs options
             [
               ("kind", Protocol.kind_to_string kind);
               ("backend", Protocol.backend_to_string backend);
@@ -459,25 +431,21 @@ let handle t request =
                      1 axes) );
             ]
         in
-        let work () =
-          if kind <> Protocol.Pepa then
+        let work =
+          if kind <> Protocol.Pepa then fun () ->
             Protocol.Error_response
               {
                 code = Errors.analysis_failure_code;
                 message = "error: sweep supports PEPA models (use kind pepa)\n";
               }
-          else begin
-            let entry, _ =
-              Cache.find_or_create t.cache ~key:(entry_key kind source) fresh_entry
-            in
-            with_lock entry.lock (fun () ->
+          else
+            locked (fun entry ->
                 let model = pepa_model entry stages ~name ~source in
                 let result =
                   timed stages "sweep" (fun () ->
                       Sweep.run ~name ~model ~options ~axes ~backend ~warm_start)
                 in
                 ok ~data:(Sweep.to_json ~backend ~warm_start result) ())
-          end
         in
         ("choreographerd sweep", name, hash, pairs, work)
   in
@@ -487,9 +455,10 @@ let handle t request =
       tool;
       model_name;
       model_hash;
-      option_pairs;
+      option_pairs = pairs;
       stages = List.rev !stages;
       status;
+      pipeline = !pipeline;
     }
   in
   match work () with

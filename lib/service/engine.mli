@@ -1,13 +1,18 @@
-(** The daemon's analysis engine: executes protocol requests against a
-    content-hash model cache.
+(** The analysis engine behind every analysis verb: executes protocol
+    requests against a content-hash model cache.  The daemon serves
+    its clients' requests with one; [pepa-workbench solve|query] and
+    [choreographer pipeline] create one in process and answer their
+    own request with it, so a one-shot run and a daemon reply render
+    the same bytes by construction.
 
-    Models are cached under the MD5 of their source (per kind), and
-    each cache entry holds the compiled artefact of every stage already
-    run for it — parsed AST, compiled component tree, derived state
-    space, solved analysis — keyed by the normalised options that
-    affect that stage.  A repeated request re-runs nothing; a request
-    that changes only the solve method reuses the derived state space;
-    a source change misses the cache entirely.
+    Models are cached under their kind, their name (which the rendered
+    output prints) and the MD5 of their source, and each cache entry
+    holds the compiled artefact of every stage already run for it —
+    parsed AST, compiled component tree, derived state space, solved
+    analysis — keyed by the normalised options that affect that stage.
+    A repeated request re-runs nothing; a request that changes only
+    the solve method reuses the derived state space; a source or name
+    change misses the cache entirely.
 
     Every request runs on the domain that calls {!handle}.  Requests
     for the same model serialise on the entry's lock; requests for
@@ -28,7 +33,15 @@ type outcome = {
           execution order; stages served from cache are absent (and
           counted on the ["cache_stage_hits"] metric) *)
   status : string;  (** ["ok"] or the error status, ledger-ready *)
+  pipeline : Choreographer.Pipeline.outcome option;
+      (** the typed outcome behind a [Pipeline] or [Reflect] response,
+          for in-process callers that render more of it (the HTML
+          report) *)
 }
+
+val option_pairs : Protocol.options -> (string * string) list -> (string * string) list
+(** [method], [aggregate] and [fluid] in their normalised forms, then
+    the verb's own pairs: the options as ledger records list them. *)
 
 val handle : t -> Protocol.request -> outcome
 (** Execute one request.  Never raises on analysis failures — they

@@ -42,4 +42,6 @@ val of_exn : exn -> rendered option
     {!Choreographer.Query.Query_error}, solver and fluid
     non-convergence) to their rendering; [None] for exceptions outside
     the contract (protocol bugs, I/O), which the daemon reports
-    generically and the CLIs let escape. *)
+    generically as internal failures (code 125).  The CLIs report a
+    file they cannot read or write as {!model_error} and let anything
+    else escape. *)

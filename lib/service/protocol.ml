@@ -22,7 +22,13 @@ type backend = Exact | Lump | Fluid_ode
 
 type request =
   | Solve of { kind : model_kind; name : string; source : string; options : options }
-  | Pipeline of { name : string; document : string; rates : string option; options : options }
+  | Pipeline of {
+      name : string;
+      document : string;
+      rates : string option;
+      rates_name : string option;
+      options : options;
+    }
   | Query of {
       kind : model_kind;
       name : string;
@@ -30,7 +36,13 @@ type request =
       query : string;
       options : options;
     }
-  | Reflect of { name : string; document : string; rates : string option; options : options }
+  | Reflect of {
+      name : string;
+      document : string;
+      rates : string option;
+      rates_name : string option;
+      options : options;
+    }
   | Sweep of {
       kind : model_kind;
       name : string;
@@ -263,8 +275,11 @@ let axis_of_json json =
 (* Requests                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rates_field rates =
+(* [rates_name] is sent only when set, so a request without it encodes
+   as it did before the field existed. *)
+let rates_fields rates rates_name =
   ("rates", match rates with None -> Null | Some s -> Str s)
+  :: (match rates_name with None -> [] | Some s -> [ ("rates_name", Str s) ])
 
 let request_to_json = function
   | Solve { kind; name; source; options } ->
@@ -276,15 +291,11 @@ let request_to_json = function
           ("source", Str source);
           ("options", options_to_json options);
         ]
-  | Pipeline { name; document; rates; options } ->
+  | Pipeline { name; document; rates; rates_name; options } ->
       Obj
-        [
-          ("verb", Str "pipeline");
-          ("name", Str name);
-          ("document", Str document);
-          rates_field rates;
-          ("options", options_to_json options);
-        ]
+        ([ ("verb", Str "pipeline"); ("name", Str name); ("document", Str document) ]
+        @ rates_fields rates rates_name
+        @ [ ("options", options_to_json options) ])
   | Query { kind; name; source; query; options } ->
       Obj
         [
@@ -295,15 +306,11 @@ let request_to_json = function
           ("query", Str query);
           ("options", options_to_json options);
         ]
-  | Reflect { name; document; rates; options } ->
+  | Reflect { name; document; rates; rates_name; options } ->
       Obj
-        [
-          ("verb", Str "reflect");
-          ("name", Str name);
-          ("document", Str document);
-          rates_field rates;
-          ("options", options_to_json options);
-        ]
+        ([ ("verb", Str "reflect"); ("name", Str name); ("document", Str document) ]
+        @ rates_fields rates rates_name
+        @ [ ("options", options_to_json options) ])
   | Sweep { kind; name; source; options; axes; backend; warm_start } ->
       Obj
         [
@@ -335,6 +342,7 @@ let request_of_json json =
           name = str_field "name" json;
           document = str_field "document" json;
           rates = opt_str_field "rates" json;
+          rates_name = opt_str_field "rates_name" json;
           options = options_of_json json;
         }
   | "query" ->
@@ -352,6 +360,7 @@ let request_of_json json =
           name = str_field "name" json;
           document = str_field "document" json;
           rates = opt_str_field "rates" json;
+          rates_name = opt_str_field "rates_name" json;
           options = options_of_json json;
         }
   | "sweep" ->

@@ -36,8 +36,12 @@ type request =
   | Solve of { kind : model_kind; name : string; source : string; options : options }
   | Pipeline of {
       name : string;
+          (** the document's path as the user gave it: it labels XML and
+              text-notation errors, and a text document's model is named
+              after its basename without extension *)
       document : string;  (** XMI or plain-text notation, sniffed as the CLI does *)
       rates : string option;  (** rates-file source, not a path *)
+      rates_name : string option;  (** labels rates-file errors; [None] is ["rates"] *)
       options : options;
     }
   | Query of {
@@ -47,7 +51,13 @@ type request =
       query : string;
       options : options;
     }
-  | Reflect of { name : string; document : string; rates : string option; options : options }
+  | Reflect of {
+      name : string;
+      document : string;
+      rates : string option;
+      rates_name : string option;
+      options : options;
+    }  (** as [Pipeline], answered with the reflected document only *)
   | Sweep of {
       kind : model_kind;
       name : string;

@@ -329,17 +329,30 @@ let parse_file path =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Append [s] to [buf], escaped: runs that need no escaping are copied
+   whole, so printing allocates nothing per attribute or text node. *)
+let add_escaped buf ~quotes s =
+  let last = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let entity =
+      match String.unsafe_get s i with
+      | '<' -> "&lt;"
+      | '>' -> "&gt;"
+      | '&' -> "&amp;"
+      | '"' when quotes -> "&quot;"
+      | _ -> ""
+    in
+    if entity <> "" then begin
+      Buffer.add_substring buf s !last (i - !last);
+      Buffer.add_string buf entity;
+      last := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !last (String.length s - !last)
+
 let escape_generic ~quotes s =
   let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '"' when quotes -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
+  add_escaped buf ~quotes s;
   Buffer.contents buf
 
 let escape_text s = escape_generic ~quotes:false s
@@ -351,19 +364,26 @@ let to_string ?(decl = true) ?(indent = 2) node =
   let buf = Buffer.create 1024 in
   if decl then Buffer.add_string buf "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
   let pad depth =
-    if indent > 0 then Buffer.add_string buf (String.make (depth * indent) ' ')
+    for _ = 1 to depth * indent do
+      Buffer.add_char buf ' '
+    done
   in
   let newline () = if indent > 0 then Buffer.add_char buf '\n' in
   let render_attrs attrs =
     List.iter
-      (fun (k, v) -> Buffer.add_string buf (Printf.sprintf " %s=\"%s\"" k (escape_attribute v)))
+      (fun (k, v) ->
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf k;
+        Buffer.add_string buf "=\"";
+        add_escaped buf ~quotes:true v;
+        Buffer.add_char buf '"')
       attrs
   in
   (* [inline] suppresses indentation inside mixed content so character data
      round-trips unchanged. *)
   let rec render ~inline depth node =
     match node with
-    | Text s -> Buffer.add_string buf (escape_text s)
+    | Text s -> add_escaped buf ~quotes:false s
     | Cdata s ->
         Buffer.add_string buf "<![CDATA[";
         Buffer.add_string buf s;

@@ -100,7 +100,10 @@ let test_lump_asymmetric () =
   done;
   (* The same model through the workbench: per-state measures reported
      under lump-only aggregation equal the unaggregated ones. *)
-  let analyse aggregate = Choreographer.Workbench.analyse_pepa_string ~aggregate asymmetric in
+  let analyse aggregate =
+    Choreographer.Workbench.analyse_pepa ~aggregate
+      (Choreographer.Workbench.parse_pepa ~name:"model" asymmetric)
+  in
   let plain = analyse Markov.Lump.No_agg in
   let lumped = analyse Markov.Lump.Lumping in
   List.iter2
@@ -226,7 +229,8 @@ let test_telemetry_records_aggregation () =
   Obs.Config.enable ();
   Obs.Metrics.reset ();
   let _ =
-    Choreographer.Workbench.analyse_pepa_string ~aggregate:Markov.Lump.Both (e6 4)
+    Choreographer.Workbench.analyse_pepa ~aggregate:Markov.Lump.Both
+      (Choreographer.Workbench.parse_pepa ~name:"model" (e6 4))
   in
   let rendered = Choreographer.Report.telemetry_section () in
   Obs.Config.disable ();
@@ -388,7 +392,8 @@ let prop_random_terms_aggregate_exactly =
     gen_model
     (fun source ->
       let throughputs aggregate =
-        (Choreographer.Workbench.analyse_pepa_string ~aggregate source)
+        (Choreographer.Workbench.analyse_pepa ~aggregate
+           (Choreographer.Workbench.parse_pepa ~name:"model" source))
           .Choreographer.Workbench.results.Choreographer.Results.throughputs
       in
       match throughputs Markov.Lump.No_agg with
@@ -407,7 +412,10 @@ let prop_strong_lumping_keeps_throughputs =
     ~print:(fun s -> s)
     gen_model
     (fun source ->
-      match Choreographer.Workbench.analyse_pepa_string source with
+      match
+        Choreographer.Workbench.analyse_pepa
+          (Choreographer.Workbench.parse_pepa ~name:"model" source)
+      with
       | exception Choreographer.Workbench.Analysis_error _ -> QCheck2.assume_fail ()
       | analysis ->
           let space = analysis.Choreographer.Workbench.space in

@@ -25,7 +25,12 @@ let test_mm1k () =
     (Option.get (Choreographer.Results.throughput results "serve"))
 
 let test_instant_message_file () =
-  let analysis = Choreographer.Workbench.analyse_net_file (asset "instant_message.pepanet") in
+  let name = "instant_message.pepanet" in
+  let analysis =
+    Choreographer.Workbench.analyse_net ~name
+      (Choreographer.Workbench.parse_net ~name
+         (In_channel.with_open_bin (asset name) In_channel.input_all))
+  in
   let results = analysis.Choreographer.Workbench.net_results in
   Alcotest.(check int) "markings" 8 results.Choreographer.Results.n_states;
   Alcotest.check close "same number as the embedded scenario" 0.385852

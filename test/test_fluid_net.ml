@@ -274,7 +274,8 @@ let test_net_with_count () =
 
 let test_workbench_net_fluid () =
   let analysis =
-    W.analyse_net_fluid_string ~name:"roaming" Scenarios.Roaming.pepanet_source
+    W.analyse_net_fluid ~name:"roaming"
+      (W.parse_net ~name:"roaming" Scenarios.Roaming.pepanet_source)
   in
   let results = analysis.W.net_fluid_results in
   Alcotest.(check (option string)) "labelled fluid" (Some "fluid")
@@ -287,7 +288,7 @@ let test_workbench_net_fluid () =
   (* Unsupported nets surface as Analysis_error, the signal the
      pipeline's fallback listens for. *)
   match
-    W.analyse_net_fluid_string ~name:"bad"
+    W.analyse_net_fluid ~name:"bad" @@ W.parse_net ~name:"bad"
       {|
         Agent = (go, 1.0).Agent;
         token Agent;

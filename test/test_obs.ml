@@ -213,8 +213,9 @@ let test_json_depth_bounded () =
 let test_pipeline_metrics_agree () =
   with_collection (fun () ->
       let analysis =
-        Choreographer.Workbench.analyse_pepa_string ~name:"obs"
-          "P = (a, 1.0).(b, 2.0).P; Q = (a, infty).Q; system P <a> Q;"
+        Choreographer.Workbench.analyse_pepa ~name:"obs"
+          (Choreographer.Workbench.parse_pepa ~name:"obs"
+             "P = (a, 1.0).(b, 2.0).P; Q = (a, infty).Q; system P <a> Q;")
       in
       let results = analysis.Choreographer.Workbench.results in
       Alcotest.(check int)

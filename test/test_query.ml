@@ -4,10 +4,13 @@ module W = Choreographer.Workbench
 let close = Alcotest.float 1e-9
 
 let pepa_context () =
-  Q.context_of_pepa (W.analyse_pepa_string "P = (a, 2.0).(b, 3.0).P; Q = (c, 1.0).Q; system P <> Q;")
+  Q.context_of_pepa
+    (W.analyse_pepa
+       (W.parse_pepa ~name:"model" "P = (a, 2.0).(b, 3.0).P; Q = (c, 1.0).Q; system P <> Q;"))
 
 let net_context () =
-  Q.context_of_net (W.analyse_net_string Scenarios.Instant_message.pepanet_source)
+  Q.context_of_net
+    (W.analyse_net (W.parse_net ~name:"net" Scenarios.Instant_message.pepanet_source))
 
 let test_parse_and_print () =
   List.iter

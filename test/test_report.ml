@@ -53,24 +53,30 @@ let test_workbench_error_wrapping () =
     | exception W.Analysis_error _ -> ()
     | _ -> Alcotest.fail "expected Analysis_error"
   in
-  expect_error (fun () -> W.analyse_pepa_string "this is not pepa");
-  expect_error (fun () -> W.analyse_pepa_string "P = (a, nope_rate).P;");
-  expect_error (fun () -> W.analyse_pepa_string "P = (a, infty).P;");
-  expect_error (fun () -> W.analyse_pepa_string ~max_states:2 "P = (a, 1.0).(b, 1.0).(c, 1.0).P;");
-  expect_error (fun () -> W.analyse_net_string "place X = ;");
+  let pepa ?max_states src = W.analyse_pepa ?max_states (W.parse_pepa ~name:"model" src) in
+  let net src = W.analyse_net (W.parse_net ~name:"net" src) in
+  expect_error (fun () -> pepa "this is not pepa");
+  expect_error (fun () -> pepa "P = (a, nope_rate).P;");
+  expect_error (fun () -> pepa "P = (a, infty).P;");
+  expect_error (fun () -> pepa ~max_states:2 "P = (a, 1.0).(b, 1.0).(c, 1.0).P;");
+  expect_error (fun () -> net "place X = ;");
   expect_error (fun () ->
-      W.analyse_net_string
-        "A = (go, 1.0).A; token A; place P = A[A]; trans t = (go, 1.0) from P to Missing;")
+      net "A = (go, 1.0).A; token A; place P = A[A]; trans t = (go, 1.0) from P to Missing;")
 
 let test_workbench_names () =
-  let analysis = W.analyse_pepa_string ~name:"mymodel" "P = (a, 1.0).(b, 2.0).P;" in
+  let analysis =
+    W.analyse_pepa ~name:"mymodel" (W.parse_pepa ~name:"mymodel" "P = (a, 1.0).(b, 2.0).P;")
+  in
   Alcotest.(check string) "result source" "mymodel"
     analysis.W.results.Choreographer.Results.source;
   Alcotest.(check int) "states" 2 analysis.W.results.Choreographer.Results.n_states
 
 let test_workbench_utilisations () =
   (* PEPA analyses carry per-component state utilisations. *)
-  let analysis = W.analyse_pepa_string "P = (a, 2.0).(b, 3.0).P; Q = (c, 1.0).Q; system P <> Q;" in
+  let analysis =
+    W.analyse_pepa
+      (W.parse_pepa ~name:"model" "P = (a, 2.0).(b, 3.0).P; Q = (c, 1.0).Q; system P <> Q;")
+  in
   let probs = analysis.W.results.Choreographer.Results.state_probabilities in
   Alcotest.(check (option (float 1e-9))) "P utilisation" (Some 0.6)
     (List.assoc_opt "P.P" probs);

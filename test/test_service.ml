@@ -36,6 +36,11 @@ let default = Service.Protocol.default_options
 let solve_request ?(options = default) ~name source =
   Service.Protocol.Solve { kind = Service.Protocol.Pepa; name; source; options }
 
+(* A PEPA model analysed directly through the Workbench stages, the
+   reference the engine's replies are held to. *)
+let analyse ~name source =
+  Choreographer.Workbench.analyse_pepa ~name (Choreographer.Workbench.parse_pepa ~name source)
+
 let response_output = function
   | Service.Protocol.Ok_response { output; _ } -> output
   | Service.Protocol.Error_response { message; _ } ->
@@ -116,9 +121,21 @@ let test_protocol_roundtrip () =
           options = default;
         };
       Service.Protocol.Pipeline
-        { name = "doc"; document = "<XMI/>"; rates = Some "a = 1.0\n"; options };
+        {
+          name = "models/doc.uml";
+          document = "<XMI/>";
+          rates = Some "a = 1.0\n";
+          rates_name = Some "models/doc.rates";
+          options;
+        };
       Service.Protocol.Reflect
-        { name = "doc"; document = "activity A"; rates = None; options = default };
+        {
+          name = "doc";
+          document = "activity A";
+          rates = None;
+          rates_name = None;
+          options = default;
+        };
       Service.Protocol.Sweep
         {
           kind = Service.Protocol.Pepa;
@@ -323,7 +340,7 @@ let test_engine_solve_matches_workbench () =
     response_output
       (Service.Engine.handle engine (solve_request ~name:"mm1k.pepa" source)).Service.Engine.response
   in
-  let direct = Choreographer.Workbench.analyse_pepa_string ~name:"mm1k.pepa" source in
+  let direct = analyse ~name:"mm1k.pepa" source in
   Alcotest.(check string)
     "engine output = Render of a direct analysis"
     (Choreographer.Render.pepa_solve direct)
@@ -343,7 +360,7 @@ let test_engine_query () =
       }
   in
   let output = response_output (Service.Engine.handle engine request).Service.Engine.response in
-  let direct = Choreographer.Workbench.analyse_pepa_string ~name:"mm1k.pepa" source in
+  let direct = analyse ~name:"mm1k.pepa" source in
   let expected =
     Printf.sprintf "%.10g\n"
       (Choreographer.Query.eval_string
@@ -362,8 +379,7 @@ let test_engine_error_contract () =
       Alcotest.(check int) "model error code" Service.Errors.model_error_code code;
       let expected =
         match
-          Choreographer.Workbench.analyse_pepa_string ~name:"bad.pepa"
-            "P = (a, 1.0).Q;\nsystem P;"
+          analyse ~name:"bad.pepa" "P = (a, 1.0).Q;\nsystem P;"
         with
         | exception Choreographer.Workbench.Analysis_error msg ->
             Printf.sprintf "error: %s\n" msg
@@ -511,7 +527,7 @@ let request_over socket request =
 
 let test_daemon_solve_byte_identical () =
   let source = mm1k () in
-  let direct = Choreographer.Workbench.analyse_pepa_string ~name:"mm1k.pepa" source in
+  let direct = analyse ~name:"mm1k.pepa" source in
   let expected = Choreographer.Render.pepa_solve direct in
   with_server (fun ~socket ~ledger ->
       let request = solve_request ~name:"mm1k.pepa" source in
@@ -567,7 +583,7 @@ let test_daemon_concurrent_clients () =
     List.map
       (fun r ->
         Choreographer.Render.pepa_solve
-          (Choreographer.Workbench.analyse_pepa_string ~name:"mm1k.pepa" (variant r)))
+          (analyse ~name:"mm1k.pepa" (variant r)))
       rates
   in
   with_server ~workers:4 (fun ~socket ~ledger:_ ->
