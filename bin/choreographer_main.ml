@@ -81,7 +81,8 @@ let pipeline_cmd =
             (Service.Engine.option_pairs options
                [ ("absorb", string_of_bool (options.Service.Protocol.restart = `Absorb)) ]);
         let request =
-          Cli_support.document_request ~reflect_only:false ~input ~rates options
+          Cli_support.document_request ~reflect_only:false ~input ~rates
+            ~xmltable:(Option.is_some xmltable) options
         in
         let outcome = Cli_support.in_process request in
         Cli_support.print_pipeline_reply ~output ?xmltable ?html
@@ -466,7 +467,10 @@ let client_query_cmd =
 let client_document_cmd ~reflect_only info =
   let run socket tcp input output rates options xmltable =
     Cli_support.handle_errors (fun () ->
-        let request = Cli_support.document_request ~reflect_only ~input ~rates options in
+        let request =
+          Cli_support.document_request ~reflect_only ~input ~rates
+            ~xmltable:(Option.is_some xmltable) options
+        in
         Cli_support.print_pipeline_reply ~output ?xmltable (remote socket tcp request))
   in
   (* reflect writes the reflected document only. *)

@@ -330,8 +330,9 @@ let query_request ~path ~net ~query options =
 
 (* The document is named by its path as the user gave it, which labels
    its errors and names a text document's model; the rates file, read
-   first, by its own path. *)
-let document_request ~reflect_only ~input ~rates options =
+   first, by its own path.  A pipeline asks for the .xmltable document
+   only when it will write one. *)
+let document_request ~reflect_only ~input ~rates ~xmltable options =
   let rates_source = Option.map read_input rates in
   let document = read_input input in
   if reflect_only then
@@ -339,7 +340,7 @@ let document_request ~reflect_only ~input ~rates options =
       { name = input; document; rates = rates_source; rates_name = rates; options }
   else
     Service.Protocol.Pipeline
-      { name = input; document; rates = rates_source; rates_name = rates; options }
+      { name = input; document; rates = rates_source; rates_name = rates; options; xmltable }
 
 (* Answer a request with an engine created for this run; the ledger
    takes the model hash and the status from its outcome. *)

@@ -44,6 +44,12 @@ let wrap name thunk =
       fail "%s: passive action %s escapes to the top level in state %s" name action state
   | Pepanet.Net_statespace.Passive_firing { marking; label } ->
       fail "%s: passive activity %s has no active partner in marking %s" name label marking
+  | Pepa.Statespace.Mixed_rates { state; action } ->
+      fail "%s: the apparent rate of %s mixes active and passive rates in state %s" name action
+        state
+  | Pepanet.Net_statespace.Mixed_rates { marking; action } ->
+      fail "%s: the apparent rate of %s mixes active and passive rates in marking %s" name action
+        marking
   | Markov.Steady.Not_solvable msg -> fail "%s: no steady state: %s" name msg
   | Fluid.Vector_form.Unsupported msg -> fail "%s: no fluid interpretation: %s" name msg
 

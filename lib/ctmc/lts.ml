@@ -29,43 +29,52 @@ let dst_of t k = t.packed.(k) land dst_mask
 let label_of t k = t.packed.(k) lsr dst_bits
 
 (* Transition buffers doubled on demand, plus the per-source counts and
-   the label intern table. *)
+   the label intern tables: a hash table for labels added by value, and
+   for a builder over a pre-interned table the stream id of each table
+   index (-1 before its first transition). *)
 type 'l builder = {
   mutable b_packed : int array;
   mutable b_rate : float array;
   mutable count : int;
   mutable row_count : int array;
   ids : ('l, int) Hashtbl.t;
+  table : 'l array;
+  stream_id : int array;
   mutable interned : 'l list;  (* newest first *)
   mutable n_labels : int;
 }
 
-let builder () =
+let builder ?(labels = [||]) () =
   {
     b_packed = Array.make 4096 0;
     b_rate = Array.make 4096 0.0;
     count = 0;
     row_count = Array.make 4096 0;
     ids = Hashtbl.create 16;
+    table = labels;
+    stream_id = Array.make (Array.length labels) (-1);
     interned = [];
     n_labels = 0;
   }
 
 exception Too_many_labels of int
 
+let new_label b label =
+  if b.n_labels >= max_labels then raise (Too_many_labels max_labels);
+  let id = b.n_labels in
+  b.interned <- label :: b.interned;
+  b.n_labels <- id + 1;
+  id
+
 let intern b label =
   match Hashtbl.find_opt b.ids label with
   | Some id -> id
   | None ->
-      if b.n_labels >= max_labels then raise (Too_many_labels max_labels);
-      let id = b.n_labels in
+      let id = new_label b label in
       Hashtbl.add b.ids label id;
-      b.interned <- label :: b.interned;
-      b.n_labels <- id + 1;
       id
 
-let add b ~src ~dst ~rate label =
-  let id = intern b label in
+let[@inline] append b ~src ~dst ~rate id =
   let cap = Array.length b.b_packed in
   if b.count = cap then begin
     let grow_int a = let g = Array.make (2 * cap) 0 in Array.blit a 0 g 0 cap; g in
@@ -88,6 +97,19 @@ let add b ~src ~dst ~rate label =
   b.b_packed.(k) <- (id lsl dst_bits) lor dst;
   b.b_rate.(k) <- rate;
   b.count <- k + 1
+
+let add b ~src ~dst ~rate label = append b ~src ~dst ~rate (intern b label)
+
+let add_id b ~src ~dst ~rate key =
+  let id =
+    match b.stream_id.(key) with
+    | -1 ->
+        let id = new_label b b.table.(key) in
+        b.stream_id.(key) <- id;
+        id
+    | id -> id
+  in
+  append b ~src ~dst ~rate id
 
 let added b = b.count
 

@@ -14,7 +14,7 @@
     The label type is the caller's: [Pepa.Action.t] for plain PEPA
     models, [Pepanet.Net_semantics.label] for PEPA nets.  Labels are
     interned with the polymorphic hash and equality, so they must be
-    plain data. *)
+    plain data, or pre-interned ({!add_id}). *)
 
 type 'l t
 
@@ -27,11 +27,19 @@ exception Too_many_labels of int
     carries (2{^14}, the bits the packed word leaves above a 48-bit
     destination). *)
 
-val builder : unit -> 'l builder
+val builder : ?labels:'l array -> unit -> 'l builder
+(** An empty stream.  [labels] (default none) is a pre-interned label
+    table for {!add_id}; the stream's own table still lists labels in
+    first-occurrence order. *)
 
 val add : 'l builder -> src:int -> dst:int -> rate:float -> 'l -> unit
 (** Append one transition.  Sources must arrive in nondecreasing
     order.  Raises {!Too_many_labels} past the label budget. *)
+
+val add_id : 'l builder -> src:int -> dst:int -> rate:float -> int -> unit
+(** [add_id b ~src ~dst ~rate key] is [add b ~src ~dst ~rate labels.(key)]
+    for the builder's pre-interned [labels], found by index instead of
+    by hashing.  Do not mix {!add} and [add_id] on one builder. *)
 
 val added : 'l builder -> int
 (** Transitions appended so far (for progress reports). *)

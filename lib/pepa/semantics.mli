@@ -1,30 +1,54 @@
-(** The structured operational semantics of PEPA over compiled models.
+(** The structured operational semantics of PEPA over compiled models,
+    as a successor generator.
 
-    Global states are leaf-state vectors; {!moves} computes the enabled
-    activities of a state with their rates, applying Hillston's
-    apparent-rate cooperation rule at each [Coop] node and relabelling to
-    [tau] at each [Hide] node. *)
+    Global states are leaf-state vectors.  {!compile} turns a
+    {!Compile.t} once into numeric tables, after Ding and Hillston's
+    numerical representation of PEPA: integer action ids, each
+    component's moves per local state, and the cooperation tree as
+    nodes with masks of their shared and hidden actions, the [<>]
+    chains of [P\[n\]] flattened into one interleaving node.
+    {!successors} evaluates those tables at a state: it fills a reused
+    move buffer, applying Hillston's apparent-rate cooperation rule at
+    each cooperation and relabelling to [tau] at each hiding, and emits
+    every move with its leaf updates applied in place.
 
-type move = {
-  action : Action.t;
-  rate : Rate.t;
-  deltas : (int * int) list;
-      (** [(leaf, new_local_state)] updates; leaves not listed are
-          unchanged *)
-}
+    The moves come in the order of the recursive list semantics this
+    replaces: at a cooperation, the left child's solo moves, then the
+    right child's, then each shared action's products in decreasing
+    name order, left instances outer and right instances inner.  Rates
+    use {!Rate}'s float operations in its order, so transition rates
+    and state numbering are bitwise those of that semantics. *)
 
-val moves : Compile.t -> int array -> move list
-(** All activities enabled in the given global state.  Distinct
-    derivations are distinct list elements (their rates are summed only
-    when the CTMC is built). *)
+type t
+(** A compiled model with its move buffers.  Not shareable: one
+    exploration at a time. *)
 
-val apparent_rate : Compile.t -> int array -> string -> Rate.t
-(** The apparent rate of a named action type in a global state, i.e. the
-    total rate at which the whole model can perform it.  Raises
-    [Rate.Mixed_rates] if active and passive instances meet outside a
-    cooperation that resolves them. *)
+exception Passive_transition of { state : string; action : string }
+(** A passive activity survives to the top level of the model: its rate
+    is unspecified, so no CTMC exists. *)
 
-val apply : int array -> (int * int) list -> int array
-(** [apply state deltas] is the successor state (a fresh array). *)
+exception Mixed_rates of { state : string; action : string }
+(** Active and passive instances of the action meet in one apparent
+    rate, which has no defined value (as in the PEPA Workbench). *)
 
-val enabled_actions : Compile.t -> int array -> Action.Set.t
+val compile : Compile.t -> t
+
+val labels : t -> Action.t array
+(** The label of every action id: the named actions in name order,
+    then [tau].  {!successors} emits ids into this table. *)
+
+val successors :
+  t ->
+  Action.t Markov.Lts.builder ->
+  int array ->
+  src:int ->
+  visit:(int array -> int) ->
+  unit
+(** [successors t stream vec ~src ~visit] generates the moves of state
+    [vec] and, for each in order, adds one transition from [src] to
+    [visit next] to [stream] (a builder over {!labels}), where [next] is
+    [vec] with the move's leaf updates: a reused vector, which [visit]
+    must not keep.  The shape {!Statekey.explore} expects.  Raises
+    {!Mixed_rates} before emitting anything from a state whose moves mix
+    active and passive rates, and {!Passive_transition} at the first
+    passive move. *)

@@ -202,20 +202,25 @@ let frontier_states = Obs.Metrics.gauge "statespace.frontier_states"
 let packed_key_bytes = Obs.Metrics.gauge "statespace.packed_key_bytes"
 let packed_arena_bytes = Obs.Metrics.gauge "statespace.packed_arena_bytes"
 
-let explore codec ~span ~stage ~noun ~symmetry ~max_states ~full ~encode ~decode ~initial
-    successors =
+let explore codec ~span ~stage ~noun ~symmetry ~max_states ~full ~stream ~initial successors =
   let obs_on = Obs.Config.enabled () in
   let progress_every = Obs.Config.progress_interval () in
   let use_sym = not (Symmetry.is_trivial symmetry) in
   let hits = ref 0 in
   let s = store codec in
-  let stream = Markov.Lts.builder () in
   let vec = Array.make (n_fields codec) 0 in
-  let visit state =
-    encode state vec;
-    if use_sym && Symmetry.canonicalise symmetry vec then incr hits;
+  (* The successor's vector is the caller's: canonicalise a copy. *)
+  let visit next =
+    let key =
+      if use_sym then begin
+        Array.blit next 0 vec 0 (Array.length vec);
+        if Symmetry.canonicalise symmetry vec then incr hits;
+        vec
+      end
+      else next
+    in
     let fresh = s.length in
-    let i = intern s vec in
+    let i = intern s key in
     if i = fresh && i >= max_states then raise full;
     i
   in
@@ -224,7 +229,6 @@ let explore codec ~span ~stage ~noun ~symmetry ~max_states ~full ~encode ~decode
      its turn comes, and nothing per state is kept beside the arena. *)
   let src = ref 0 in
   let current = Array.make (n_fields codec) 0 in
-  let emit rate label next = Markov.Lts.add stream ~src:!src ~dst:(visit next) ~rate label in
   ignore (visit initial);
   while !src < s.length do
     if obs_on then begin
@@ -235,7 +239,7 @@ let explore codec ~span ~stage ~noun ~symmetry ~max_states ~full ~encode ~decode
             (Printf.sprintf "%d discovered, %d transitions" s.length (Markov.Lts.added stream))
     end;
     get_into s !src current;
-    successors (decode current) emit;
+    successors current ~src:!src ~visit;
     incr src
   done;
   seal s;

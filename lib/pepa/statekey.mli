@@ -17,8 +17,8 @@
 
     {!explore} is the derivation loop of {!Statespace.build} and
     [Pepanet.Net_statespace.build]: each supplies a codec, an initial
-    state and a successor function, and gets back the store of its
-    states and their labelled transition stream. *)
+    vector, a stream builder and a successor function, and gets back the
+    store of its states and their labelled transition stream. *)
 
 type t
 (** A codec: field widths and the derived key size.  Immutable and
@@ -74,30 +74,32 @@ val explore :
   symmetry:Symmetry.t ->
   max_states:int ->
   full:exn ->
-  encode:('s -> int array -> unit) ->
-  decode:(int array -> 's) ->
-  initial:'s ->
-  ('s -> (float -> 'l -> 's -> unit) -> unit) ->
+  stream:'l Markov.Lts.builder ->
+  initial:int array ->
+  (int array -> src:int -> visit:(int array -> int) -> unit) ->
   store * 'l Markov.Lts.t
-(** [explore codec ... ~initial successors] derives every state
-    reachable from [initial] breadth-first.  [successors state emit]
-    calls [emit rate label next] once per outgoing transition.  Each
-    state is [encode]d into a vector, rewritten to its orbit
-    representative by {!Symmetry.canonicalise} unless [symmetry] is
-    trivial, and interned; states are numbered in first-occurrence
-    order, so numbering and transition order depend on the model
-    alone.
+(** [explore codec ... ~stream ~initial successors] derives every state
+    reachable from the vector [initial] breadth-first.
+    [successors vec ~src ~visit] expands state [src], decoded into
+    [vec]: for each outgoing transition it calls [visit next] on the
+    successor's vector and adds the transition from [src] to the index
+    [visit] returns to [stream].  [visit] rewrites a copy of [next] to
+    its orbit representative by {!Symmetry.canonicalise} unless
+    [symmetry] is trivial and interns it, so it neither keeps nor
+    changes [next]; states are numbered in first-occurrence order, so
+    numbering and transition order depend on the model alone.
 
     Breadth-first numbering is discovery order, so the store doubles
-    as the work queue: state [i] is decoded from its key into a
-    vector, which [decode] turns into the value [successors] expands
-    ([decode] must copy what it keeps: the vector is reused), and
-    nothing per state is kept beside the arena.  Raises [full]
-    when a state beyond the first [max_states] is discovered.
+    as the work queue: state [i] is decoded from its key into [vec]
+    when its turn comes (a vector reused for every state, which
+    [successors] must copy to keep), and nothing per state is kept
+    beside the arena.  Raises [full] when a state beyond the first
+    [max_states] is discovered.
 
     The returned store is sealed (its intern table dropped: the arena
-    holds exactly the keys).  With telemetry on, the explorer refreshes
-    the ["statespace.frontier_states"] gauge per expansion, reports
+    holds exactly the keys), and the stream finished over its states.
+    With telemetry on, the explorer refreshes the
+    ["statespace.frontier_states"] gauge per expansion, reports
     progress under [stage], adds to the ["states_explored"],
     ["transitions_emitted"], ["intern_collisions"] (probes past an
     occupied slot) and ["statespace.canonical_hits"] counters, sets the

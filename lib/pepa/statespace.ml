@@ -9,7 +9,8 @@ type t = {
 }
 
 exception Too_many_states of int
-exception Passive_transition of { state : string; action : string }
+exception Passive_transition = Semantics.Passive_transition
+exception Mixed_rates = Semantics.Mixed_rates
 
 let codec_of compiled =
   Statekey.of_cardinalities
@@ -25,29 +26,12 @@ let codec_of compiled =
 let build ?(max_states = 1_000_000) ?(symmetry = false) compiled =
   Obs.Span.with_ "statespace.build" (fun span ->
       let symmetry = if symmetry then Symmetry.detect compiled else Symmetry.trivial in
-      let n_leaves = Compile.n_leaves compiled in
-      let successors vec emit =
-        List.iter
-          (fun move ->
-            let rate =
-              match move.Semantics.rate with
-              | Rate.Active r -> r
-              | Rate.Passive _ ->
-                  raise
-                    (Passive_transition
-                       {
-                         state = Compile.state_label compiled vec;
-                         action = Action.to_string move.Semantics.action;
-                       })
-            in
-            emit rate move.Semantics.action (Semantics.apply vec move.Semantics.deltas))
-          (Semantics.moves compiled vec)
-      in
+      let generator = Semantics.compile compiled in
+      let stream = Markov.Lts.builder ~labels:(Semantics.labels generator) () in
       let store, lts =
         Statekey.explore (codec_of compiled) ~span ~stage:"statespace.build" ~noun:"states"
-          ~symmetry ~max_states ~full:(Too_many_states max_states)
-          ~encode:(fun vec scratch -> Array.blit vec 0 scratch 0 n_leaves)
-          ~decode:Array.copy ~initial:(Compile.initial_state compiled) successors
+          ~symmetry ~max_states ~full:(Too_many_states max_states) ~stream
+          ~initial:(Compile.initial_state compiled) (Semantics.successors generator stream)
       in
       { compiled; symmetry; store; lts })
 

@@ -15,7 +15,8 @@
 
     Exploration is {!Statekey.explore}, the loop PEPA nets share: this
     module supplies the codec (one field per leaf), the initial state
-    and the successor function of {!Semantics}.  The explored states
+    and the successor generator {!Semantics} compiles from the model,
+    whose action ids label the stream without hashing.  The explored states
     live in a {!Statekey.store}, one contiguous packed arena (a few
     bytes per state instead of a boxed [int array]), so exploration
     memory is dominated by the transition stream rather than the state
@@ -29,7 +30,11 @@ exception Too_many_states of int
 exception Passive_transition of { state : string; action : string }
 (** Raised when a passive activity survives to the top level of the
     model: its rate is unspecified, so no CTMC exists.  The offending
-    state and action are reported. *)
+    state and action are reported.  ({!Semantics.Passive_transition}.) *)
+
+exception Mixed_rates of { state : string; action : string }
+(** Raised when active and passive instances of the action meet in one
+    apparent rate in the reported state.  ({!Semantics.Mixed_rates}.) *)
 
 val build : ?max_states:int -> ?symmetry:bool -> Compile.t -> t
 (** Explore the full state space (default bound: 1_000_000 states).

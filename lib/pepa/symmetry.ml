@@ -15,10 +15,13 @@ module String_set = Syntax.String_set
 
 type t = {
   groups : int array array array;  (* groups.(g).(r) = leaf indices of replica r; innermost first *)
+  singles : int array array;
+      (* singles.(g) = each replica's one leaf when group g's replicas are
+         single leaves, as every P[n] and net cell group's are; [||] else *)
   orbits : int array array;  (* orbits.(leaf) = symmetric leaves, incl. self *)
 }
 
-let trivial = { groups = [||]; orbits = [||] }
+let trivial = { groups = [||]; singles = [||]; orbits = [||] }
 let is_trivial t = Array.length t.groups = 0
 let n_groups t = Array.length t.groups
 let groups t = Array.map (Array.map Array.copy) t.groups
@@ -48,7 +51,15 @@ let of_groups ~n_leaves groups =
     let orbits =
       Array.init n_leaves (fun leaf -> Array.of_list (Hashtbl.find members (find leaf)))
     in
-    { groups; orbits }
+    let singles =
+      Array.map
+        (fun replicas ->
+          if Array.for_all (fun leaves -> Array.length leaves = 1) replicas then
+            Array.map (fun leaves -> leaves.(0)) replicas
+          else [||])
+        groups
+    in
+    { groups; singles; orbits }
   end
 
 let set_signature set = String.concat "," (String_set.elements set)
@@ -123,23 +134,38 @@ let swap_sub (vec : int array) (a : int array) (b : int array) =
   done
 
 (* Insertion sort of each group's replicas, swapping sub-vectors in
-   place through the fixed leaf layout.  A successor differs from its
-   canonical source in a few leaves, so the sort is linear in practice;
-   it allocates nothing and keeps no scratch, so domains may share [t].
-   A swap only ever resolves a strict inversion, so the vector changed
-   exactly when some group swapped. *)
+   place through the fixed leaf layout; a group of single leaves sorts
+   their values directly, shifting instead of swapping.  A successor
+   differs from its canonical source in a few leaves, so the sort is
+   linear in practice; it allocates nothing and keeps no scratch, so
+   domains may share [t].  A swap or shift only ever resolves a strict
+   inversion, so the vector changed exactly when some group moved. *)
 let canonicalise t vec =
   let changed = ref false in
   for g = 0 to Array.length t.groups - 1 do
-    let replicas = t.groups.(g) in
-    for r = 1 to Array.length replicas - 1 do
-      let j = ref r in
-      while !j > 0 && compare_sub vec replicas.(!j - 1) replicas.(!j) > 0 do
-        swap_sub vec replicas.(!j - 1) replicas.(!j);
-        changed := true;
-        decr j
+    let leaves = t.singles.(g) in
+    if Array.length leaves > 0 then
+      for r = 1 to Array.length leaves - 1 do
+        let x = vec.(leaves.(r)) in
+        let j = ref r in
+        while !j > 0 && vec.(leaves.(!j - 1)) > x do
+          vec.(leaves.(!j)) <- vec.(leaves.(!j - 1));
+          changed := true;
+          decr j
+        done;
+        vec.(leaves.(!j)) <- x
       done
-    done
+    else begin
+      let replicas = t.groups.(g) in
+      for r = 1 to Array.length replicas - 1 do
+        let j = ref r in
+        while !j > 0 && compare_sub vec replicas.(!j - 1) replicas.(!j) > 0 do
+          swap_sub vec replicas.(!j - 1) replicas.(!j);
+          changed := true;
+          decr j
+        done
+      done
+    end
   done;
   !changed
 

@@ -10,6 +10,13 @@ type update = Set_cell of int * Marking.cell_state | Set_static of int * int
 
 type move = { label : label; rate : Rate.t; updates : update list }
 
+exception Mixed_rates of { marking : string; action : string }
+
+(* An apparent rate of [action] summed active and passive instances. *)
+let apparent_of compiled marking action f =
+  try f () with Rate.Mixed_rates ->
+    raise (Mixed_rates { marking = Marking.label compiled marking; action })
+
 let is_firing compiled action =
   match Action.name action with
   | Some n -> String_set.mem n compiled.Net_compile.firing_actions
@@ -77,8 +84,11 @@ let rec structure_moves compiled marking structure =
             let rights = List.filter matches right_moves in
             if lefts = [] || rights = [] then acc
             else begin
-              let apparent1 = structure_apparent compiled marking left name in
-              let apparent2 = structure_apparent compiled marking right name in
+              let apparent1, apparent2 =
+                apparent_of compiled marking name (fun () ->
+                    let apparent1 = structure_apparent compiled marking left name in
+                    (apparent1, structure_apparent compiled marking right name))
+              in
               List.concat_map
                 (fun ml ->
                   List.map
@@ -183,10 +193,11 @@ let firing_moves_of compiled marking (transition : Net_compile.transition) =
     (* Apparent rate contributed by each input place: the sum over its
        candidate derivative moves. *)
     let place_apparents =
-      List.map
-        (fun cands ->
-          List.fold_left (fun acc c -> Rate.sum acc c.cand_rate) Rate.zero cands)
-        per_place_candidates
+      apparent_of compiled marking action (fun () ->
+          List.map
+            (fun cands ->
+              List.fold_left (fun acc c -> Rate.sum acc c.cand_rate) Rate.zero cands)
+            per_place_candidates)
     in
     let label_rate = transition.Net_compile.t_rate in
     let bounded =

@@ -34,6 +34,12 @@ type update = Set_cell of int * Marking.cell_state | Set_static of int * int
 
 type move = { label : label; rate : Pepa.Rate.t; updates : update list }
 
+exception Mixed_rates of { marking : string; action : string }
+(** Active and passive instances of the action meet in one apparent
+    rate (inside a place context, or among a firing's candidates in one
+    input place) in the reported marking.  {!local_moves}, {!firings},
+    {!firings_with_concession} and {!moves} raise it. *)
+
 val local_moves : Net_compile.t -> Marking.t -> move list
 (** Local PEPA activities of every place. *)
 

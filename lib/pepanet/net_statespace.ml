@@ -18,6 +18,7 @@ type t = {
 
 exception Too_many_markings of int
 exception Passive_firing of { marking : string; label : string }
+exception Mixed_rates = Net_semantics.Mixed_rates
 
 let label_string = function
   | Net_semantics.Local action -> Pepa.Action.to_string action
@@ -125,7 +126,10 @@ let decode mc vec =
 let build ?(max_markings = 1_000_000) ?(symmetry = false) compiled =
   Obs.Span.with_ "net_statespace.build" (fun span ->
       let mc = marking_codec compiled in
-      let successors marking emit =
+      let stream = Markov.Lts.builder () in
+      let next = Array.make (mc.n_cells + mc.n_statics) 0 in
+      let successors current ~src ~visit =
+        let marking = decode mc current in
         List.iter
           (fun move ->
             let rate =
@@ -139,15 +143,17 @@ let build ?(max_markings = 1_000_000) ?(symmetry = false) compiled =
                          label = label_string move.Net_semantics.label;
                        })
             in
-            emit rate move.Net_semantics.label
-              (Net_semantics.apply marking move.Net_semantics.updates))
+            encode mc (Net_semantics.apply marking move.Net_semantics.updates) next;
+            Markov.Lts.add stream ~src ~dst:(visit next) ~rate move.Net_semantics.label)
           (Net_semantics.moves compiled marking)
       in
+      let initial = Array.make (mc.n_cells + mc.n_statics) 0 in
+      encode mc (Marking.initial compiled) initial;
       let store, lts =
         Pepa.Statekey.explore mc.codec ~span ~stage:"net_statespace.build" ~noun:"markings"
           ~symmetry:(if symmetry then cell_symmetry compiled else Pepa.Symmetry.trivial)
-          ~max_states:max_markings ~full:(Too_many_markings max_markings) ~encode:(encode mc)
-          ~decode:(decode mc) ~initial:(Marking.initial compiled) successors
+          ~max_states:max_markings ~full:(Too_many_markings max_markings) ~stream ~initial
+          successors
       in
       { compiled; mc; store; lts })
 

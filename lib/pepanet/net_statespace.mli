@@ -24,6 +24,10 @@ exception Passive_firing of { marking : string; label : string }
 (** A passive activity (local or firing) survived with no active
     participant to set its rate: the model is incomplete. *)
 
+exception Mixed_rates of { marking : string; action : string }
+(** Active and passive instances of the action meet in one apparent
+    rate in the reported marking.  ({!Net_semantics.Mixed_rates}.) *)
+
 val build : ?max_markings:int -> ?symmetry:bool -> Net_compile.t -> t
 (** With [~symmetry:true], interchangeable cells — cell leaves of the
     same token family composed in one same-set cooperation chain of a

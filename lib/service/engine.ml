@@ -381,9 +381,13 @@ let handle t request =
             [ ("kind", Protocol.kind_to_string kind); ("query", query) ],
           locked (fun entry -> query_response entry stages ~kind ~name ~source ~query ~options)
         )
-    | Protocol.Pipeline { name; document = source; rates; rates_name; options }
+    | Protocol.Pipeline { name; document = source; rates; rates_name; options; _ }
     | Protocol.Reflect { name; document = source; rates; rates_name; options } ->
-        let tables = match request with Protocol.Pipeline _ -> true | _ -> false in
+        let tables, xmltable =
+          match request with
+          | Protocol.Pipeline { xmltable; _ } -> (true, xmltable)
+          | _ -> (false, false)
+        in
         let hash, locked = model ~tag:"doc" ~name source in
         let work entry =
           let outcome, diagnostics =
@@ -398,15 +402,18 @@ let handle t request =
           in
           if tables then
             let xmltable =
-              Xml_kit.Minixml.Element
-                ("resultsets", [], List.map Choreographer.Results.to_xmltable results)
+              if not xmltable then []
+              else
+                let document =
+                  Xml_kit.Minixml.Element
+                    ("resultsets", [], List.map Choreographer.Results.to_xmltable results)
+                in
+                [ ("xmltable", Obs.Json.Str (Xml_kit.Minixml.to_string document)) ]
             in
             ok
               ~output:(String.concat "" (List.map Render.results results))
               ~diagnostics
-              ~data:
-                (Obs.Json.Obj
-                   [ reflected; ("xmltable", Obs.Json.Str (Xml_kit.Minixml.to_string xmltable)) ])
+              ~data:(Obs.Json.Obj (reflected :: xmltable))
               ()
           else ok ~diagnostics ~data:(Obs.Json.Obj [ reflected ]) ()
         in

@@ -28,6 +28,7 @@ type request =
       rates : string option;
       rates_name : string option;
       options : options;
+      xmltable : bool;
     }
   | Query of {
       kind : model_kind;
@@ -291,11 +292,11 @@ let request_to_json = function
           ("source", Str source);
           ("options", options_to_json options);
         ]
-  | Pipeline { name; document; rates; rates_name; options } ->
+  | Pipeline { name; document; rates; rates_name; options; xmltable } ->
       Obj
         ([ ("verb", Str "pipeline"); ("name", Str name); ("document", Str document) ]
         @ rates_fields rates rates_name
-        @ [ ("options", options_to_json options) ])
+        @ [ ("options", options_to_json options); ("xmltable", Bool xmltable) ])
   | Query { kind; name; source; query; options } ->
       Obj
         [
@@ -344,6 +345,7 @@ let request_of_json json =
           rates = opt_str_field "rates" json;
           rates_name = opt_str_field "rates_name" json;
           options = options_of_json json;
+          xmltable = bool_field ~default:true "xmltable" json;
         }
   | "query" ->
       Query

@@ -43,6 +43,9 @@ type request =
       rates : string option;  (** rates-file source, not a path *)
       rates_name : string option;  (** labels rates-file errors; [None] is ["rates"] *)
       options : options;
+      xmltable : bool;
+          (** render the results' .xmltable document into the response
+              (field ["xmltable"]); a request without the field gets it *)
     }
   | Query of {
       kind : model_kind;

@@ -174,32 +174,68 @@ let handle_connection t fd =
     loop ()
   with
   | Frame.Frame_error _ | Unix.Unix_error _ | Obs.Json.Parse_error _ -> ()
-  (* Anything else escaping one request ends that connection, never the
-     worker serving it: a daemon whose workers are all lost can answer
-     nothing, shutdown included. *)
+  (* Anything else escaping one request ends that connection and no
+     more: escaping the connection's domain, it would be re-raised by
+     [Domain.join] in the accept loop and end the daemon. *)
   | exn -> Obs.Log.info "connection dropped: %s" (Printexc.to_string exn)
 
-let worker_loop t =
-  let rec loop () =
-    if not (Atomic.get t.stop) then begin
-      (match Unix.select t.listeners [] [] 0.25 with
-      | ready, _, _ ->
-          List.iter
-            (fun listener ->
-              match Unix.accept ~cloexec:true listener with
-              | client, _ ->
-                  (try Unix.clear_nonblock client with Unix.Unix_error _ -> ());
-                  handle_connection t client
-              | exception
-                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-                ->
-                  ())
-            ready
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      loop ()
-    end
+(* Connections are served by domains spawned on demand, one per
+   accepted connection and at most [workers] at a time, each ending with
+   its connection.  Every live domain takes part in each stop-the-world
+   collection (one blocked in a system call through its backup thread),
+   so the daemon keeps none idle.  A finishing domain writes a byte to a
+   pipe the accept loop watches beside the listeners, so a connection
+   held back at the limit is accepted as soon as one ends, and the loop
+   sees a shutdown at once. *)
+let serve t ~workers =
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  let live = ref [] in
+  let reap () =
+    let finished, running = List.partition (fun (_, finished) -> Atomic.get finished) !live in
+    List.iter (fun (domain, _) -> Domain.join domain) finished;
+    live := running
   in
-  loop ()
+  let spawn client =
+    let finished = Atomic.make false in
+    let signal () =
+      Atomic.set finished true;
+      try ignore (Unix.write_substring wake_w "x" 0 1) with Unix.Unix_error _ -> ()
+    in
+    match
+      Domain.spawn (fun () -> Fun.protect ~finally:signal (fun () -> handle_connection t client))
+    with
+    | domain -> live := (domain, finished) :: !live
+    | exception Failure msg ->
+        Obs.Log.info "connection refused: %s" msg;
+        (try Unix.close client with Unix.Unix_error _ -> ())
+  in
+  let accept listener =
+    match Unix.accept ~cloexec:true listener with
+    | client, _ ->
+        (try Unix.clear_nonblock client with Unix.Unix_error _ -> ());
+        spawn client
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  in
+  let drain = Bytes.create 64 in
+  while not (Atomic.get t.stop) do
+    reap ();
+    let listening = if List.length !live < workers then t.listeners else [] in
+    match Unix.select (wake_r :: listening) [] [] (-1.0) with
+    | ready, _, _ ->
+        if List.mem wake_r ready then
+          (try ignore (Unix.read wake_r drain 0 (Bytes.length drain))
+           with Unix.Unix_error _ -> ());
+        List.iter
+          (fun listener ->
+            if List.mem listener ready && List.length !live < workers then accept listener)
+          listening
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  done;
+  List.iter (fun (domain, _) -> Domain.join domain) !live;
+  Unix.close wake_r;
+  Unix.close wake_w
 
 let make_unix_listener path =
   ensure_parent_dir path;
@@ -241,8 +277,7 @@ let run ?(on_ready = fun () -> ()) config =
       socket_unlinked = Atomic.make false;
     }
   in
-  let domains = List.init workers (fun _ -> Domain.spawn (fun () -> worker_loop t)) in
   on_ready ();
-  List.iter Domain.join domains;
+  serve t ~workers;
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listeners;
   unlink_socket t

@@ -8,15 +8,17 @@
     the metrics registry in Prometheus exposition format (scrape
     [GET /metrics] with [curl --unix-socket]).
 
-    Concurrency model: [workers] domains accept and serve connections,
-    and each request runs entirely on the worker that read it, so
-    distinct models solve in parallel.  An exception escaping one
-    request closes that connection; the worker goes on serving. *)
+    Concurrency model: the calling domain accepts connections and
+    spawns one domain per connection, at most [workers] at a time, which
+    serves every request on that connection and ends with it; so
+    distinct models solve in parallel, and no domain is kept idle.  A
+    connection beyond the limit waits to be accepted until one ends.  An
+    exception escaping one request closes that connection. *)
 
 type config = {
   socket_path : string;
   tcp : (string * int) option;  (** bind address and port, e.g. ("127.0.0.1", 4747) *)
-  workers : int;  (** accept/serve domains (clamped to at least 1) *)
+  workers : int;  (** connections served at once (clamped to at least 1) *)
   cache_capacity : int;  (** compiled models kept by the LRU cache *)
   ledger : string option;  (** per-request flight records appended here;
                                [None] disables recording *)
@@ -26,9 +28,9 @@ val default_socket_path : unit -> string
 (** [$CHOREOGRAPHER_SOCKET] if set, else [~/.choreographer/daemon.sock]. *)
 
 val run : ?on_ready:(unit -> unit) -> config -> unit
-(** Serve until a [shutdown] request arrives, then join the worker
-    domains and return.  [on_ready] fires
-    once the listeners are bound and the workers started — the hook
+(** Serve until a [shutdown] request arrives, then join the domains of
+    the connections still open and return.  [on_ready] fires
+    once the listeners are bound — the hook
     the daemon uses to announce readiness and tests use to
     synchronise.  Enables telemetry collection (the metrics endpoint
     is meaningless without it), installs nothing [at_exit], removes

@@ -206,6 +206,38 @@ let prop_cell_sort_matches_marking_sort =
            (List.init 20 (fun _ -> random_marking ())))
 
 (* ------------------------------------------------------------------ *)
+(* Derive                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The successor generator fills reused move buffers and applies each
+   move in place, and the stream takes its integer action ids, so
+   derive's minor words per transition are a handful (the list
+   semantics it replaced allocated 105-125): the boxed rate passed to
+   the stream and the per-state work spread over each state's moves.
+   The store's arena, the stream's columns and the generator's tables
+   outgrow the minor heap or are allocated once per build. *)
+let derive_words_per_transition ~symmetry source =
+  with_telemetry_off @@ fun () ->
+  let compiled = Pepa.Compile.of_string source in
+  ignore (Ss.build ~symmetry compiled);
+  let words, space = alloc_words (fun () -> Ss.build ~symmetry compiled) in
+  (words /. float_of_int (Ss.n_transitions space), Ss.n_transitions space)
+
+let test_derive_allocates_per_transition () =
+  List.iter
+    (fun (name, symmetry, source) ->
+      let per, transitions = derive_words_per_transition ~symmetry source in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words per transition over %d" name per transitions)
+        true (per <= 10.0))
+    [
+      ("tandem12", false, Scenarios.Tandem.source ~stations:3 ~capacity:12);
+      ( "roaming.pepa under symmetry",
+        true,
+        In_channel.with_open_bin (Test_assets.asset "roaming.pepa") In_channel.input_all );
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Solver sweeps                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -343,6 +375,8 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_canonicalise_matches_sort;
     QCheck_alcotest.to_alcotest prop_cell_sort_matches_marking_sort;
+    Alcotest.test_case "derive allocates O(1) words per transition" `Quick
+      test_derive_allocates_per_transition;
     Alcotest.test_case "solves allocate O(n) words" `Quick test_solves_allocate_linearly;
     QCheck_alcotest.to_alcotest prop_marginals_match_scan;
     QCheck_alcotest.to_alcotest prop_nested_marginals_match_scan;

@@ -10,6 +10,7 @@ let () =
       ("rates", Test_rate.suite);
       ("pepa-parser", Test_pepa_parser.suite);
       ("pepa-semantics", Test_pepa_semantics.suite);
+      ("derive", Test_derive.suite);
       ("env", Test_env.suite);
       ("equivalence", Test_equivalence.suite);
       ("ctmc", Test_ctmc.suite);

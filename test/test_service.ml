@@ -127,6 +127,7 @@ let test_protocol_roundtrip () =
           rates = Some "a = 1.0\n";
           rates_name = Some "models/doc.rates";
           options;
+          xmltable = false;
         };
       Service.Protocol.Reflect
         {
@@ -160,6 +161,15 @@ let test_protocol_roundtrip () =
         Alcotest.failf "request did not round-trip: %s"
           (Obs.Json.to_string (Service.Protocol.request_to_json request)))
     requests;
+  (* A pipeline request without the xmltable field, as an older client
+     sends it, asks for the table. *)
+  (match
+     Service.Protocol.request_of_json
+       (Obs.Json.of_string {|{"verb": "pipeline", "name": "doc", "document": "<XMI/>"}|})
+   with
+  | Service.Protocol.Pipeline { xmltable; _ } ->
+      Alcotest.(check bool) "xmltable defaults to true" true xmltable
+  | _ -> Alcotest.fail "expected a pipeline request");
   let responses =
     [
       Service.Protocol.Ok_response
@@ -345,6 +355,35 @@ let test_engine_solve_matches_workbench () =
     "engine output = Render of a direct analysis"
     (Choreographer.Render.pepa_solve direct)
     output
+
+(* A pipeline response carries the .xmltable document only when the
+   request asks for it; the reflected document and the tables printed
+   to stdout do not depend on it. *)
+let test_engine_xmltable_on_request () =
+  let engine = Service.Engine.create () in
+  let reply xmltable =
+    match
+      (Service.Engine.handle engine
+         (Service.Protocol.Pipeline
+            {
+              name = "pda.uml";
+              document = read_file (asset "pda.uml");
+              rates = Some (read_file (asset "pda.rates"));
+              rates_name = Some "pda.rates";
+              options = default;
+              xmltable;
+            }))
+        .Service.Engine.response
+    with
+    | Service.Protocol.Ok_response { output; data; _ } -> (output, data)
+    | Service.Protocol.Error_response { message; _ } -> Alcotest.fail message
+  in
+  let output, data = reply true and output', data' = reply false in
+  let field name data = Obs.Json.member name data in
+  Alcotest.(check bool) "asked: table" true (Option.is_some (field "xmltable" data));
+  Alcotest.(check bool) "not asked: no table" true (Option.is_none (field "xmltable" data'));
+  Alcotest.(check string) "same tables printed" output output';
+  Alcotest.(check bool) "same reflected document" true (field "reflected" data = field "reflected" data')
 
 let test_engine_query () =
   let engine = Service.Engine.create () in
@@ -743,6 +782,45 @@ let test_daemon_ignores_jobs () =
             (raw_reply socket (raw_solve_frame ~options:(Printf.sprintf {|{"jobs":%s}|} jobs))))
         [ "4"; "-1" ])
 
+(* Each connection gets a domain of its own, at most [workers] at a
+   time: with one worker, a second client waits while the first stays
+   connected, and is answered once the first leaves. *)
+let test_daemon_connection_limit () =
+  with_server ~workers:1 (fun ~socket ~ledger:_ ->
+      let stats = Obs.Json.to_string (Service.Protocol.request_to_json Service.Protocol.Stats) in
+      let open_connection () =
+        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX socket);
+        fd
+      in
+      let first = open_connection () and first_open = ref true in
+      let close_first () =
+        if !first_open then begin
+          first_open := false;
+          Unix.close first
+        end
+      in
+      let second = open_connection () in
+      Fun.protect
+        ~finally:(fun () ->
+          close_first ();
+          Unix.close second)
+        (fun () ->
+          Service.Frame.write first stats;
+          Alcotest.(check bool) "first client answered" true (Service.Frame.read first <> None);
+          Unix.setsockopt_float second Unix.SO_RCVTIMEO 0.3;
+          Service.Frame.write second stats;
+          (match Service.Frame.read second with
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+          | _ -> Alcotest.fail "second client served beyond one worker");
+          close_first ();
+          Unix.setsockopt_float second Unix.SO_RCVTIMEO 10.0;
+          match Service.Frame.read second with
+          | Some _ -> ()
+          | None -> Alcotest.fail "daemon closed the second connection without answering"
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              Alcotest.fail "second client not answered within 10 s of the first leaving"))
+
 (* The built executables, run as subprocesses. *)
 let built_exe name =
   match
@@ -885,8 +963,22 @@ let test_workbench_malformed_models () =
     String.concat ""
       (List.init n (fun i -> Printf.sprintf "P%07d = (a%d, 1.0).P%07d;\n" i i ((i + 1) mod n)))
   in
+  (* Active and passive instances of one action in an apparent rate,
+     in a plain model and in a net's place context. *)
+  let mixed = "P = (a, 1.0).P + (a, infty).P; Q = (a, 2.0).Q; system P <a> Q;" in
+  let mixed_net =
+    "Tok = (go, 1.0).Tok; S = (a, 1.0).S + (a, infty).S; R = (a, 2.0).R; token Tok;\n\
+     place P1 = Tok[Tok] <> (S <a> R); place P2 = Tok[_];\n\
+     trans t1 = (go, 1.0) from P1 to P2; trans t2 = (go, 1.0) from P2 to P1;"
+  in
   let models =
-    [ temp ".pepa" "P = (a, 1.0).;"; temp ".pepanet" "this is not a net"; temp ".pepa" labels ]
+    [
+      temp ".pepa" "P = (a, 1.0).;";
+      temp ".pepanet" "this is not a net";
+      temp ".pepa" labels;
+      temp ".pepa" mixed;
+      temp ".pepanet" mixed_net;
+    ]
   in
   let basename = Filename.temp_file "malformed" ".export" in
   Fun.protect
@@ -921,16 +1013,29 @@ let test_workbench_malformed_models () =
       Alcotest.(check int) (what ^ " exits 1") 1 code;
       Alcotest.(check bool) (what ^ " reports an error: " ^ stderr) true (has_prefix "error: " stderr))
     [ [ "query"; mm1k; "passage(tau -> serve).mean" ]; [ "passage"; mm1k; "-a"; "tau" ] ];
-  (* The daemon's engine reports the label budget as a model error too. *)
-  match
-    (Service.Engine.handle (Service.Engine.create ()) (solve_request ~name:"labels.pepa" labels))
-      .Service.Engine.response
-  with
-  | Service.Protocol.Error_response { code; message } ->
-      Alcotest.(check int) "label budget: model error code" Service.Errors.model_error_code code;
-      Alcotest.(check string) "label budget: message"
-        "error: labels.pepa: more than 16384 distinct transition labels\n" message
-  | Service.Protocol.Ok_response _ -> Alcotest.fail "expected an error response"
+  (* The daemon's engine reports the label budget and mixed rates as
+     model errors too. *)
+  List.iter
+    (fun (what, name, source, expected) ->
+      match
+        (Service.Engine.handle (Service.Engine.create ()) (solve_request ~name source))
+          .Service.Engine.response
+      with
+      | Service.Protocol.Error_response { code; message } ->
+          Alcotest.(check int) (what ^ ": model error code") Service.Errors.model_error_code code;
+          Alcotest.(check string) (what ^ ": message") expected message
+      | Service.Protocol.Ok_response _ -> Alcotest.fail "expected an error response")
+    [
+      ( "label budget",
+        "labels.pepa",
+        labels,
+        "error: labels.pepa: more than 16384 distinct transition labels\n" );
+      ( "mixed rates",
+        "mixed.pepa",
+        mixed,
+        "error: mixed.pepa: the apparent rate of a mixes active and passive rates in state \
+         (P, Q)\n" );
+    ]
 
 let suite =
   [
@@ -945,6 +1050,8 @@ let suite =
     Alcotest.test_case "engine stage cache" `Quick test_engine_stage_cache;
     Alcotest.test_case "engine solve = workbench" `Quick test_engine_solve_matches_workbench;
     Alcotest.test_case "engine query" `Quick test_engine_query;
+    Alcotest.test_case "engine renders the xmltable on request" `Quick
+      test_engine_xmltable_on_request;
     Alcotest.test_case "engine error contract" `Quick test_engine_error_contract;
     Alcotest.test_case "ingest" `Quick test_ingest;
     Alcotest.test_case "sweep warm = cold" `Quick test_sweep_warm_equals_cold;
@@ -957,6 +1064,7 @@ let suite =
     Alcotest.test_case "daemon survives out-of-range jobs" `Quick
       test_daemon_survives_out_of_range_jobs;
     Alcotest.test_case "daemon ignores an older client's jobs" `Quick test_daemon_ignores_jobs;
+    Alcotest.test_case "daemon connection limit" `Quick test_daemon_connection_limit;
     Alcotest.test_case "daemon survives a deep frame" `Quick test_daemon_survives_deep_frame;
     Alcotest.test_case "jacobi rejected by CLIs and daemon" `Quick test_jacobi_rejected_everywhere;
     Alcotest.test_case "workbench malformed models exit 1" `Quick
